@@ -27,7 +27,6 @@ from .fields import (
     save_matrix,
     solve_affine,
     solve_one,
-    span_iter,
     span_matrix,
     weight,
 )

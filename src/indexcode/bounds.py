@@ -16,13 +16,12 @@ kappa gives N <= N_q[kappa, 2delta+1]; and N >= kappa + 2delta always
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .codes import min_rank, random_existence_condition
 from .errors import BudgetExceeded
-from .fields import make_field
+from .fields import make_field, sphere_volume
 from .instances import (
     generalized_independence_number,
     odd_cycle_instance,
@@ -38,11 +37,6 @@ CITED_TABLE = {
 }
 
 SEARCH_POINT_CAP = 400  # projective points allowed in a table search
-
-
-def sphere_volume(q, N, r):
-    """Number of vectors within Hamming distance r of a point in F_q^N."""
-    return sum(comb(N, i) * (q - 1) ** i for i in range(min(r, N) + 1))
 
 
 def gv_upper(q, k, d):

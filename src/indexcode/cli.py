@@ -241,8 +241,7 @@ def cmd_construct(args):
 
 def cmd_decode(args):
     L, qm = load_matrix(args.matrix)
-    i, y, side, qr = decoding.received_from_text(
-        open(args.received, encoding="utf-8").read())
+    i, y, side, qr = decoding.load_received(args.received)
     if qr != qm:
         raise ValueError(f"received word says q={qr}, matrix q={qm}")
     inst, field = _load_instance_field(args.instance, qm)

@@ -16,14 +16,14 @@ random sampling, and by exhaustive minimum-length search with certificates.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
-from .fields import check_matrix, matrix_from_text, matrix_to_text, rref, weight
+from .fields import (all_combinations, check_matrix, matrix_from_text,
+                     matrix_to_text, rank, rref, sphere_volume, weight)
 from .instances import instance_hash, iter_I, iter_J, y_set
 from .search import min_length_search, normalize_projective, projective_reps
 
@@ -44,8 +44,9 @@ class VerificationReport:
 def _scan_receiver_spans(inst, field, L, span_cap):
     """Min weight(z L) per receiver over z = e_f(i) + combos on Y_i.
 
-    Enumeration: receivers ascending; coefficient odometer over the sorted
-    Y_i rows, earlier row = more significant digit.  Scaling z never changes
+    Enumeration: receivers ascending; within a receiver, all_combinations of
+    the sorted Y_i rows, so the first Y_i row's coefficient cycles fastest
+    and the lightest combination found first wins.  Scaling z never changes
     the weight, so fixing the f(i) coefficient to 1 loses nothing.
     """
     q = field.q
@@ -59,21 +60,8 @@ def _scan_receiver_spans(inst, field, L, span_cap):
         if size > span_cap:
             raise SpanCapExceeded(
                 f"receiver {i}: {size} combinations exceed cap {span_cap}")
-        # rows of combos: all coefficient vectors over Y_i, last digit fastest
-        combos = np.zeros((1, L.shape[1]), dtype=np.int64)
-        coeffs = np.zeros((1, len(yi)), dtype=np.int64)
-        for pos, j in enumerate(yi):
-            blocks = []
-            cblocks = []
-            for c in range(q):
-                blocks.append(combos if c == 0
-                              else field.add_arr(combos, field.scale(c, L[j])))
-                cc = coeffs.copy()
-                cc[:, pos] = c
-                cblocks.append(cc)
-            combos = np.concatenate(blocks, axis=0)
-            coeffs = np.concatenate(cblocks, axis=0)
-        vecs = field.add_arr(combos, L[inst.f[i]][None, :])
+        vecs = field.add_arr(all_combinations(field, L[yi]),
+                             L[inst.f[i]][None, :])
         wts = np.count_nonzero(vecs, axis=1)
         cost += size
         idx = int(np.argmin(wts))
@@ -82,8 +70,8 @@ def _scan_receiver_spans(inst, field, L, span_cap):
             minw = w
             z = np.zeros(inst.n, dtype=np.int64)
             z[inst.f[i]] = 1
-            for pos, j in enumerate(yi):
-                z[j] = coeffs[idx, pos]
+            for j in yi:  # coefficients are the base-q digits of idx
+                idx, z[j] = divmod(idx, q)
             witness = z
             wit_rec = i
     return minw, witness, wit_rec, cost
@@ -282,9 +270,8 @@ def check_lift_core(inst, field, B):
     Returns the first violating support or None.
     """
     B = check_matrix(field, B)
-    from .fields import rank as _rank
     for K in iter_J(inst):
-        if _rank(field, B[list(K)]) < len(K):
+        if rank(field, B[list(K)]) < len(K):
             return K
     return None
 
@@ -330,7 +317,6 @@ class RandomConstructionReport:
 
 def random_existence_condition(inst, field, delta, N):
     """Counting bound: sum_i q^(n-|X_i|-1) * V_q(N, 2delta) < q^N."""
-    from .bounds import sphere_volume
     q = field.q
     total = sum(q ** (inst.n - len(inst.X[i]) - 1) for i in range(inst.m))
     return total * sphere_volume(q, N, 2 * delta) < q ** N

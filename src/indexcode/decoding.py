@@ -17,14 +17,13 @@ by something the receiver cannot, and need not, distinguish.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import check_matrix, kernel_basis, solve_one, span_matrix, weight
+from .fields import (check_matrix, kernel_basis, solve_one, span_matrix,
+                     sparse_vectors, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
@@ -96,33 +95,18 @@ def syndrome(inst, field, L, H, view):
     return field.matvec(H, _strip(inst, field, L, view))
 
 
-def _coset_candidates(q, N, delta):
-    """Canonical order: weight ascending, support lex, values ascending."""
-    yield np.zeros(N, dtype=np.int64)
-    for w in range(1, delta + 1):
-        for support in itertools.combinations(range(N), w):
-            for vals in itertools.product(range(1, q), repeat=w):
-                e = np.zeros(N, dtype=np.int64)
-                for pos, v in zip(support, vals):
-                    e[pos] = v
-                yield e
-
-
-def coset_search_size(q, N, delta):
-    return sum(comb(N, w) * (q - 1) ** w for w in range(delta + 1))
-
-
 def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
-    """Lightest e with H e = beta, canonical order; TooManyErrors if none."""
+    """Lightest e with H e = beta, in sparse_vectors order; TooManyErrors if
+    none.  budget caps the patterns the search may inspect."""
     H = check_matrix(field, H)
     N = H.shape[1]
     beta = np.asarray(beta, dtype=np.int64)
-    total = coset_search_size(field.q, N, delta)
+    total = sphere_volume(field.q, N, delta)
     if total > budget:
         raise BudgetExceeded(
             f"coset search of {total} patterns exceeds budget {budget}")
     cost = 0
-    for e in _coset_candidates(field.q, N, delta):
+    for e in sparse_vectors(field.q, N, delta):
         cost += 1
         if np.array_equal(field.matvec(H, e), beta):
             return e, cost
@@ -235,13 +219,13 @@ class Decoder:
         self.L = check_matrix(field, L)
         self.delta = delta
         N = self.L.shape[1]
-        if coset_search_size(field.q, N, delta) > budget:
+        if sphere_volume(field.q, N, delta) > budget:
             raise BudgetExceeded("leader table larger than budget")
         self._tables = []
         for i in range(inst.m):
             gen, H = code_Ci(inst, field, self.L, i)
             leaders = {}
-            for e in _coset_candidates(field.q, N, delta):
+            for e in sparse_vectors(field.q, N, delta):
                 key = tuple(int(v) for v in field.matvec(H, e))
                 if key not in leaders:
                     leaders[key] = e

@@ -6,12 +6,16 @@ a fixed irreducible modulus; its code is the base-p expansion of the
 coefficient tuple with the constant term as the least significant digit.
 
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
-takes the Field explicitly.  Enumeration orders (solution sweeps, span
-iteration) are fixed and documented so that searches built on top are
-reproducible bit for bit.
+takes the Field explicitly.  This module owns the enumeration orders
+(solution sweeps, all_combinations of rows, sparse_vectors by weight) and
+the Hamming-ball count sphere_volume; they are fixed and documented so that
+searches built on top are reproducible bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
+from math import comb
 
 import numpy as np
 
@@ -242,15 +246,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return int(self._inv[a])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        out = 1
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
     # -- vectorized ops on int64 arrays of codes ---------------------------
 
     def add_arr(self, a, b):
@@ -383,9 +378,6 @@ def rref(field, A):
 
 
 def rank(field, A):
-    A = check_matrix(field, A)
-    if field.q == 2:
-        return _rank_gf2(pack_rows(A))
     return len(rref(field, A)[1])
 
 
@@ -454,87 +446,59 @@ def solve_one(field, A, b):
 def span_matrix(field, rows, cap=SPAN_CAP_DEFAULT):
     """All q**rank vectors of the row span as one array, zero vector first.
 
-    Built by block doubling over the rref basis: the coefficient of basis row
-    0 cycles fastest.  Deterministic; duplicates never occur.
+    The all_combinations of the rref basis.  Deterministic; duplicates never
+    occur.
     """
-    rows = check_matrix(field, rows)
     R, pivots = rref(field, rows)
-    basis = R[:len(pivots)]
     size = field.q ** len(pivots)
     if size > cap:
         raise SpanCapExceeded(f"span of size {size} exceeds cap {cap}")
+    return all_combinations(field, R[:len(pivots)])
+
+
+# ---------------------------------------------------------------------------
+# canonical enumerations: every search built on these inherits their order
+# ---------------------------------------------------------------------------
+
+
+def sphere_volume(q, N, r):
+    """Number of vectors within Hamming distance r of a point in F_q^N."""
+    return sum(comb(N, i) * (q - 1) ** i for i in range(min(r, N) + 1))
+
+
+def sparse_vectors(q, k, r):
+    """Every vector of F_q^k with weight <= r; sphere_volume(q, k, r) of them.
+
+    Order: the zero vector first, then weight ascending, support lex, and
+    within a support the nonzero values ascending with the last position
+    fastest.  Yields nothing when r < 0.
+    """
+    if r < 0:
+        return
+    yield np.zeros(k, dtype=np.int64)
+    for w in range(1, min(r, k) + 1):
+        for support in itertools.combinations(range(k), w):
+            for vals in itertools.product(range(1, q), repeat=w):
+                v = np.zeros(k, dtype=np.int64)
+                for pos, val in zip(support, vals):
+                    v[pos] = val
+                yield v
+
+
+def all_combinations(field, rows):
+    """Every sum_j c_j rows[j], one array row per coefficient vector c.
+
+    Built by block doubling, so the coefficient of rows[0] cycles fastest:
+    row t has c_j = base-q digit j of t, least significant digit first.
+    Row 0 is the zero vector; q**len(rows) rows in all.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    for brow in basis:
-        blocks = [out if c == 0 else field.add_arr(out, field.scale(c, brow))
+    for row in rows:
+        blocks = [out if c == 0 else field.add_arr(out, field.scale(c, row))
                   for c in range(field.q)]
         out = np.concatenate(blocks, axis=0)
     return out
-
-
-def span_iter(field, rows, cap=SPAN_CAP_DEFAULT):
-    """Iterate the row span in span_matrix order."""
-    yield from span_matrix(field, rows, cap)
-
-
-# ---------------------------------------------------------------------------
-# GF(2) packed fast path (rows as Python ints, bit j = column j)
-# ---------------------------------------------------------------------------
-
-
-def pack_rows(A):
-    A = np.asarray(A, dtype=np.int64)
-    out = []
-    for row in A:
-        v = 0
-        for j in np.nonzero(row)[0]:
-            v |= 1 << int(j)
-        out.append(v)
-    return out
-
-
-def unpack_rows(packed, ncols):
-    out = np.zeros((len(packed), ncols), dtype=np.int64)
-    for i, v in enumerate(packed):
-        j = 0
-        while v:
-            if v & 1:
-                out[i, j] = 1
-            v >>= 1
-            j += 1
-    return out
-
-
-def _rank_gf2(packed):
-    rows = [v for v in packed if v]
-    r = 0
-    while rows:
-        piv = min(rows, key=lambda v: v & -v)
-        low = piv & -piv
-        rows = [v ^ piv if v & low else v for v in rows]
-        rows = [v for v in rows if v]
-        r += 1
-    return r
-
-
-def rref_gf2(packed, ncols):
-    """Packed reduced row echelon form; mirrors rref() pivot choices."""
-    rows = list(packed)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pr = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .decoding import (COSET_BUDGET, Decoder, _coset_candidates, decode,
-                       make_view)
+from .decoding import COSET_BUDGET, Decoder, decode, make_view
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import check_matrix, make_field, weight
+from .fields import (check_matrix, make_field, sparse_vectors, sphere_volume,
+                     weight)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,11 @@ def draw_error(rng, field, N, delta, forced_weight=None):
 
 def _make_decode_fn(inst, field, L, delta, budget):
     # the leader table pays off over many trials; fall back to streaming
-    # decodes when it would not fit
+    # decodes, which record failures per receiver, when it would not fit or
+    # some receiver cannot decode at all
     try:
-        dec = Decoder(inst, field, L, delta, budget=budget)
-        return dec
-    except BudgetExceeded:
+        return Decoder(inst, field, L, delta, budget=budget)
+    except (BudgetExceeded, NotAnIndexCode):
         return None
 
 
@@ -139,9 +139,8 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     return successes, failures, max_weight
 
 
-def _exhaustive_errors(q, N, delta, forced_weight):
-    cap = delta if forced_weight is None else forced_weight
-    for e in _coset_candidates(q, N, cap):
+def _exhaustive_errors(q, N, cap, forced_weight):
+    for e in sparse_vectors(q, N, cap):
         if forced_weight is None or weight(e) == forced_weight:
             yield e
 
@@ -156,6 +155,11 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     Exhaustive mode ignores `trials` and `seed` and enumerates every
     message vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.
+
+    budget caps the error patterns a leader table or a streaming decode may
+    inspect and, in exhaustive mode, the cases enumerated: q^n message
+    vectors times the sphere_volume(q, N, delta or forced_weight) error
+    patterns scanned.  BudgetExceeded is raised before any case runs.
     """
     L = check_matrix(field, L)
     n, N = L.shape
@@ -165,11 +169,16 @@ def trial_campaign(inst, field, L, delta, trials, seed,
         raise ValueError("forced_weight out of range")
 
     if exhaustive:
+        cap = delta if forced_weight is None else forced_weight
+        cases = field.q ** n * sphere_volume(field.q, N, cap)
+        if cases > budget:
+            raise BudgetExceeded(
+                f"exhaustive campaign of {cases} cases exceeds budget {budget}")
         decoder = _make_decode_fn(inst, field, L, delta, budget)
         successes, total, max_weight = 0, 0, 0
         failures = np.zeros(inst.m, dtype=np.int64)
         for x in itertools.product(range(field.q), repeat=n):
-            for e in _exhaustive_errors(field.q, N, delta, forced_weight):
+            for e in _exhaustive_errors(field.q, N, cap, forced_weight):
                 run = simulate_once(inst, field, L, delta,
                                     np.array(x, dtype=np.int64), e,
                                     decoder=decoder, budget=budget)

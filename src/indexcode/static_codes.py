@@ -20,11 +20,12 @@ from math import comb
 
 import numpy as np
 
-from .bounds import CodeTableEntry, nq_kd, sphere_volume
+from .bounds import CodeTableEntry, nq_kd
 from .errors import BudgetExceeded
-from .fields import check_matrix, make_field, rank, span_matrix
+from .fields import (check_matrix, make_field, rank, span_matrix,
+                     sparse_vectors, sphere_volume)
 from .instances import Instance, make_instance
-from .search import projective_reps
+from .search import normalize_projective, projective_reps
 
 COMBO_BUDGET = 2_000_000        # coefficient vectors verify_rho_delta may scan
 PARITY_NODE_BUDGET = 2_000_000  # DFS extensions in the parity-check search
@@ -111,7 +112,7 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     if delta < 0:
         raise ValueError("delta must be >= 0")
     q = field.q
-    total = sum(comb(n, s) * (q - 1) ** s for s in range(1, rho + 1))
+    total = sphere_volume(q, n, rho) - 1
     if total > budget:
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
     need = 2 * delta + 1
@@ -144,40 +145,42 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
 
     Exhaustive over column multisets: column scaling and order never affect
     the independence condition, so projective representatives in
-    non-decreasing order lose nothing.
+    non-decreasing order lose nothing.  A column may join iff it avoids the
+    span of every <= rho-1 chosen columns; a bitmask over the
+    representatives tracks the columns lying in those spans.
     """
-    reps = [np.array(r, dtype=np.int64) for r in projective_reps(field, N)]
+    index = {r: t for t, r in enumerate(projective_reps(field, N))}
+    reps = [np.array(r, dtype=np.int64) for r in index]
     nodes = 0
-
-    def admissible(chosen, c):
-        # c may join iff it avoids the span of every <= rho-1 chosen columns
-        for s in range(1, rho):
-            for subset in combinations(range(len(chosen)), s):
-                M = np.array([chosen[j] for j in subset] + [c])
-                if rank(field, M) != s + 1:
-                    return False
-        return True
-
     chosen = []
 
-    def extend(start):
+    def extend(start, forbidden):
         nonlocal nodes
-        if len(chosen) == n:
+        k = len(chosen)
+        if k == n:
             return True
+        # a column c joining forbids c + z.chosen for every z of weight <= rho-2
+        Z = np.array(list(sparse_vectors(field.q, k, rho - 2)), dtype=np.int64)
+        combos = field.matmul(Z.reshape(sphere_volume(field.q, k, rho - 2), k),
+                              np.array(chosen, dtype=np.int64).reshape(k, N))
         for idx in range(start, len(reps)):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
                     f"parity-check search exceeded {budget} nodes")
+            if forbidden >> idx & 1:
+                continue
             c = reps[idx]
-            if admissible(chosen, c):
-                chosen.append(c)
-                if extend(idx):
-                    return True
-                chosen.pop()
+            grown = forbidden
+            for v in field.add_arr(combos, c):
+                grown |= 1 << index[normalize_projective(field, v)]
+            chosen.append(c)
+            if extend(idx, grown):
+                return True
+            chosen.pop()
         return False
 
-    if extend(0):
+    if extend(0, 0):
         return np.stack(chosen, axis=1)
     return None
 
@@ -272,22 +275,8 @@ def static_bounds(n, rho, delta, q, budget=PARITY_NODE_BUDGET):
 def gv_inequality(n, rho, delta, q, N):
     """True when counting promises the greedy below always reaches n rows:
     sum_{i<rho} C(n-1,i)(q-1)^i * V_q(N, 2delta) < q^N."""
-    lhs = sum(comb(n - 1, i) * (q - 1) ** i for i in range(rho))
-    return lhs * sphere_volume(q, N, 2 * delta) < q ** N
-
-
-def _row_combinations(field, rows, kmax, ncols):
-    """Every combination of at most kmax rows with all-nonzero coefficients,
-    zero vector included, one array row per combination."""
-    out = [np.zeros(ncols, dtype=np.int64)]
-    for s in range(1, min(kmax, len(rows)) + 1):
-        for subset in combinations(range(len(rows)), s):
-            for coeffs in itertools.product(range(1, field.q), repeat=s):
-                v = np.zeros(ncols, dtype=np.int64)
-                for c, j in zip(coeffs, subset):
-                    v = field.add_arr(v, field.scale(c, rows[j]))
-                out.append(v)
-    return np.array(out, dtype=np.int64)
+    return (sphere_volume(q, n - 1, rho - 1) * sphere_volume(q, N, 2 * delta)
+            < q ** N)
 
 
 @dataclass
@@ -323,7 +312,7 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
         raise ValueError("need delta >= 0 and N >= 1")
     if order not in ("lex", "seeded"):
         raise ValueError(f"unknown order {order!r}")
-    max_combos = sum(comb(n - 1, i) * (q - 1) ** i for i in range(rho))
+    max_combos = sphere_volume(q, n - 1, rho - 1)
     if q ** N * max_combos > GREEDY_WORK_CAP:
         raise BudgetExceeded(
             f"{q ** N} candidates x {max_combos} combinations exceed cap")
@@ -336,7 +325,10 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     holds = gv_inequality(n, rho, delta, q, N)
     rows = []
     while len(rows) < n:
-        V = _row_combinations(field, rows, rho - 1, N)
+        # every combination of <= rho-1 placed rows, zero included
+        Z = np.array(list(sparse_vectors(q, len(rows), rho - 1)),
+                     dtype=np.int64)
+        V = field.matmul(Z, np.array(rows, dtype=np.int64).reshape(-1, N))
         sums = field.add_arr(pool[:, None, :], V[None, :, :])
         ok = (np.count_nonzero(sums, axis=2) >= need).all(axis=1)
         hits = np.nonzero(ok)[0]

@@ -124,7 +124,8 @@ def test_construct_search_with_certificate(files, capsys, F2, k3):
                  "--out", outm]) == OK
     out = capsys.readouterr().out
     assert "n_opt: 3" in out
-    doc = json.loads(open(cert).read())
+    with open(cert) as fh:
+        doc = json.loads(fh.read())
     assert doc["N"] == 3 and doc["certified"] is True
     from indexcode.codes import check_certificate
     check_certificate(k3, F2, json.dumps(doc), delta=1)

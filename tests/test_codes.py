@@ -125,6 +125,16 @@ def test_verify_span_cap(F2, pentagon, pentagon_L9):
     assert rep.ok and rep.method == "stream"
 
 
+def test_receiver_span_witness_tie_break(F3):
+    # Y_0 = {1, 2}; the first Y_0 row's coefficient cycles fastest, so of the
+    # two weight-1 combinations the scan meets e_0 + 2 e_1 + e_2 first
+    inst = make_instance(3, (0,), ((),))
+    L = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    rep = verify(inst, F3, L, 1, method="receiver-span")
+    assert rep.witness.tolist() == [1, 2, 1]
+    assert rep.receiver == 0 and rep.min_weight == 1 and rep.cost == 9
+
+
 def test_max_delta_goldens(F2, k3, k3_L, pentagon, pentagon_L9):
     assert max_delta(k3, F2, k3_L) == 1
     assert max_delta(pentagon, F2, pentagon_L9) == 2

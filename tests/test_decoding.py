@@ -8,7 +8,6 @@ import pytest
 from indexcode.decoding import (
     Decoder,
     code_Ci,
-    coset_search_size,
     decode,
     find_combiner,
     load_received,
@@ -23,7 +22,7 @@ from indexcode.decoding import (
     transmit,
 )
 from indexcode.errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from indexcode.fields import make_field, rank, weight
+from indexcode.fields import make_field, rank, sphere_volume, weight
 from indexcode.instances import make_instance, y_set
 
 from conftest import random_instance
@@ -100,7 +99,7 @@ def test_min_weight_coset_solution_matches_brute_force(F3):
                     if np.array_equal(F3.matvec(H, np.array(e)), beta))
         assert weight(e_hat) == brute
         assert np.array_equal(F3.matvec(H, e_hat), beta)
-        assert cost <= coset_search_size(3, N, delta)
+        assert cost <= sphere_volume(3, N, delta)
 
 
 def test_min_weight_coset_solution_radius_exceeded(F2):

@@ -16,16 +16,14 @@ from indexcode.fields import (
     make_field,
     matrix_from_text,
     matrix_to_text,
-    pack_rows,
     rank,
     rref,
-    rref_gf2,
     solve_affine,
     solve_one,
     span_matrix,
-    unpack_rows,
+    sparse_vectors,
+    sphere_volume,
     weight,
-    _rank_gf2,
 )
 
 def _prime_powers_upto(limit):
@@ -272,6 +270,17 @@ def test_span_matrix_order_and_contents():
         assert len({tuple(v) for v in S}) == S.shape[0]
 
 
+def test_sparse_vectors_order_and_count():
+    got = [tuple(int(x) for x in v) for v in sparse_vectors(3, 3, 2)]
+    assert len(got) == sphere_volume(3, 3, 2) == 19
+    # zero, then weight 1 by support, then support (0, 1), last value fastest
+    assert got[:7] == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0),
+                       (0, 0, 1), (0, 0, 2)]
+    assert got[7:11] == [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)]
+    assert list(sparse_vectors(3, 3, -1)) == []
+    assert len({tuple(v) for v in sparse_vectors(3, 3, 5)}) == 27
+
+
 def test_span_cap_enforced():
     F = make_field(2)
     A = np.eye(8, dtype=np.int64)
@@ -299,26 +308,6 @@ def test_matmul_dot_against_scalar_loops():
             for k in range(5):
                 acc = F.add(acc, F.mul(int(u[k]), int(v[k])))
             assert F.dot(u, v) == acc
-
-
-# ---------------------------------------------------------------------------
-# GF(2) packed path agrees bit for bit with the generic path
-# ---------------------------------------------------------------------------
-
-
-def test_packed_gf2_cross_check_thousand_ops():
-    F = make_field(2)
-    rng = np.random.default_rng(123)
-    for _ in range(1000):
-        A = rng.integers(0, 2, size=(rng.integers(1, 7), rng.integers(1, 9)))
-        packed = pack_rows(A)
-        assert np.array_equal(unpack_rows(packed, A.shape[1]), A)
-        R, piv = rref(F, A)
-        prows, ppiv = rref_gf2(packed, A.shape[1])
-        assert ppiv == piv
-        assert np.array_equal(unpack_rows(prows, A.shape[1])[:len(piv)],
-                              R[:len(piv)])
-        assert _rank_gf2(packed) == len(piv)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from indexcode.errors import BudgetExceeded
 from indexcode.sim import (
     CampaignStats,
     draw_error,
@@ -124,6 +125,24 @@ def test_campaign_exhaustive_weight3_defeats_pentagon(F2, pentagon,
     stats = trial_campaign(pentagon, F2, pentagon_L9, 2, 0, 0,
                            forced_weight=3, exhaustive=True)
     assert stats.trials == 32 * 84 and stats.successes == 0
+
+
+def test_campaign_exhaustive_budget(F2, k3, k3_L):
+    # the budget counts cases: 8 message vectors times 5 error patterns
+    with pytest.raises(BudgetExceeded):
+        trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=39)
+    stats = trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=40)
+    assert stats.trials == 40
+
+
+@pytest.mark.parametrize("exhaustive, trials", [(False, 5), (True, 8)])
+def test_campaign_records_unusable_matrix_per_receiver(F2, k3, exhaustive,
+                                                       trials):
+    # row 0 of L is zero, so receiver 0 never recovers x_0: counted, not raised
+    L = np.array([[0, 0], [1, 0], [0, 1]])
+    stats = trial_campaign(k3, F2, L, 0, 5, 0, exhaustive=exhaustive)
+    assert stats.trials == trials
+    assert stats.failures == (trials, 0, 0) and stats.successes == 0
 
 
 def test_campaign_random_matches_exhaustive_rate(F2, pentagon, pentagon_L9):

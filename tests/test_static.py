@@ -240,6 +240,21 @@ def test_find_parity_check_threshold(F2):
         assert rank(F2, H[:, pair].T) == 2
 
 
+@pytest.mark.parametrize("q, n, rho, N, want", [
+    (3, 6, 3, 4, [[0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0],
+                  [0, 1, 0, 1, 0, 1], [1, 0, 0, 1, 0, 1]]),
+    (4, 6, 3, 3, [[0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3],
+                  [1, 0, 0, 1, 3, 2]]),
+])
+def test_find_parity_check_pinned(q, n, rho, N, want):
+    field = make_field(q)
+    H = find_parity_check(field, n, rho, N)
+    assert H.tolist() == want
+    for s in range(1, rho + 1):
+        for cols in itertools.combinations(range(n), s):
+            assert rank(field, H[:, cols].T) == s
+
+
 # ---------------------------------------------------------------------------
 # length brackets
 # ---------------------------------------------------------------------------
