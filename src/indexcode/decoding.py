@@ -9,7 +9,8 @@ off through a fixed combining vector.
 
 The combiner comes from solving L u = v + e_f(i) with v supported on the
 receiver's side information; it depends only on (L, i), so the Decoder class
-precomputes it (and a syndrome -> leader table) for fast repeated decoding.
+precomputes it (and a sorted syndrome-key -> leader table) for fast repeated
+decoding, one view or a whole block of received words at a time.
 Up to delta errors, the recovered symbol is exact whenever L verifies at
 delta, even though the error estimate itself may differ from the true error
 by something the receiver cannot, and need not, distinguish.
@@ -23,10 +24,18 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import (check_matrix, kernel_basis, solve_one, span_matrix,
-                     sparse_vectors, sphere_volume, weight)
+                     sparse_blocks, sparse_vectors, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
+BLOCK_CELLS = 1 << 16      # int64 entries in a block's largest intermediate
+
+
+def block_rows(n, N):
+    """Rows per block of words of length N (messages of length n) so that
+    the widest intermediate, the T x n x N or T x N x N products of an
+    extension-field matmul, stays within BLOCK_CELLS entries."""
+    return max(1, BLOCK_CELLS // max(1, N * max(n, N)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,8 @@ def syndrome(inst, field, L, H, view):
 def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
     """Lightest e with H e = beta, in sparse_vectors order; TooManyErrors if
     none.  budget caps the patterns the search may inspect."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     H = check_matrix(field, H)
     N = H.shape[1]
     beta = np.asarray(beta, dtype=np.int64)
@@ -188,6 +199,8 @@ def recover_by_elimination(inst, field, L, view, e_hat):
 def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
            recovery="combiner"):
     """Full pipeline: strip, syndrome, lightest coset solution, recover."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     L = check_matrix(field, L)
     gen, H = code_Ci(inst, field, L, view.i)
     beta = syndrome(inst, field, L, H, view)
@@ -208,43 +221,113 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
 class Decoder:
     """Per-receiver precomputation for mass decoding of one (inst, L, delta).
 
-    Builds each receiver's parity check, combiner, and a syndrome -> leader
-    table filled in the same canonical order as the streaming search, so
-    results are identical to decode() on every input.
+    Each receiver gets its parity check H, its combiner (u, v) and a leader
+    table of two arrays: the sorted syndrome keys (the base-q integer of
+    H e, first coordinate least significant) and, row for row, the leader
+    of each key, which is the first pattern with that key in sparse_vectors
+    order, exactly the pattern the streaming search returns.  The table is
+    built a block of patterns at a time and has at most
+    sphere_volume(q, N, delta) entries, the number that budget caps.  So
+    decode(view) gives the same DecodeResult as decode() on every input,
+    and raises what decode() raises: TooManyErrors when no leader matches,
+    NotAnIndexCode when the receiver has no combiner.  decode_block does
+    the same for a whole block of received words at once.
     """
 
     def __init__(self, inst, field, L, delta, budget=COSET_BUDGET):
+        if delta < 0:
+            raise ValueError("delta must be >= 0")
         self.inst = inst
         self.field = field
         self.L = check_matrix(field, L)
         self.delta = delta
-        N = self.L.shape[1]
-        if sphere_volume(field.q, N, delta) > budget:
+        q, N = field.q, self.L.shape[1]
+        if sphere_volume(q, N, delta) > budget:
             raise BudgetExceeded("leader table larger than budget")
+        Hs = [code_Ci(inst, field, self.L, i)[1] for i in range(inst.m)]
+        rows = block_rows(0, N)
+        # pass 1: every pattern's key at every receiver; the first pattern
+        # of each distinct key is its leader
+        block_keys = [[] for _ in Hs]
+        for E in sparse_blocks(q, N, delta, rows):
+            for found, H in zip(block_keys, Hs):
+                found.append(_syndrome_keys(q, field.matmul(E, H.T)))
+        keys, firsts = [], []
+        for found in block_keys:
+            k, first = np.unique(np.concatenate(found), return_index=True)
+            keys.append(k)
+            firsts.append(first)
+        # pass 2: pick the leaders out of the same blocks, visiting each
+        # table's rows in the order of their leaders' positions
+        leaders = [np.zeros((len(k), N), dtype=np.int64) for k in keys]
+        orders = [np.argsort(first) for first in firsts]
+        ats = [first[order] for first, order in zip(firsts, orders)]
+        start = 0
+        for E in sparse_blocks(q, N, delta, rows):
+            for order, at, lead in zip(orders, ats, leaders):
+                lo, hi = np.searchsorted(at, [start, start + len(E)])
+                lead[order[lo:hi]] = E[at[lo:hi] - start]
+            start += len(E)
         self._tables = []
-        for i in range(inst.m):
-            gen, H = code_Ci(inst, field, self.L, i)
-            leaders = {}
-            for e in sparse_vectors(field.q, N, delta):
-                key = tuple(int(v) for v in field.matvec(H, e))
-                if key not in leaders:
-                    leaders[key] = e
-            comb_uv = find_combiner(inst, field, self.L, i)
-            self._tables.append((H, leaders, comb_uv))
+        for i, H in enumerate(Hs):
+            try:
+                comb_uv = find_combiner(inst, field, self.L, i)
+            except NotAnIndexCode:
+                comb_uv = None
+            self._tables.append((H, keys[i], leaders[i], comb_uv))
+
+    def _lookup(self, i, S):
+        """Table rows of the syndromes S (one per row), -1 where none."""
+        keys = self._tables[i][1]
+        k = _syndrome_keys(self.field.q, S)
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return np.where(keys[pos] == k, pos, -1)
 
     def decode(self, view):
-        H, leaders, comb_uv = self._tables[view.i]
+        H, _, leaders, comb_uv = self._tables[view.i]
         beta = syndrome(self.inst, self.field, self.L, H, view)
-        e_hat = leaders.get(tuple(int(v) for v in beta))
-        if e_hat is None:
+        pos = int(self._lookup(view.i, beta[None, :])[0])
+        if pos < 0:
             raise TooManyErrors(
                 f"no error pattern of weight <= {self.delta} matches")
+        e_hat = leaders[pos].copy()
+        # without a combiner recover() looks for one and raises
+        # NotAnIndexCode, as decode() does
         x_hat = recover(self.inst, self.field, self.L, view, e_hat,
                         combiner=comb_uv)
         return DecodeResult(x_hat=int(x_hat), e_hat=e_hat, syndrome=beta,
                             combiner=comb_uv[0],
                             weight_searched=weight(e_hat), cost=0,
                             method="table")
+
+    def decode_block(self, i, Y, side):
+        """Receiver i's demanded symbol for each row of Y (received words),
+        given side (one row per word: the values x_j for j in sorted X_i).
+        Returns int64 symbols, -1 where decode() would raise."""
+        field = self.field
+        H, _, leaders, comb_uv = self._tables[i]
+        out = np.full(len(Y), -1, dtype=np.int64)
+        if comb_uv is None:
+            return out
+        u, v = comb_uv
+        X_i = sorted(self.inst.X[i])
+        stripped = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
+        pos = self._lookup(i, field.matmul(stripped, H.T))
+        hit = pos >= 0
+        corrected = field.sub_arr(Y[hit], leaders[pos[hit]])
+        out[hit] = field.sub_arr(field.matvec(corrected, u),
+                                 field.matvec(side[hit], v[X_i]))
+        return out
+
+
+def _syndrome_keys(q, S):
+    """Base-q integer of each row of S, first coordinate least significant:
+    int64 when every key fits, Python ints otherwise."""
+    r = S.shape[1]
+    if q ** r <= 2 ** 63:
+        return S @ q ** np.arange(r, dtype=np.int64)
+    return S.astype(object) @ np.array([q ** k for k in range(r)],
+                                       dtype=object)
 
 
 # ---------------------------------------------------------------------------

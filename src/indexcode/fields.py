@@ -15,7 +15,7 @@ searches built on top are reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -437,10 +437,10 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
 
 
 def solve_one(field, A, b):
-    """First solve_affine solution, or None."""
-    for x in solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
-        return x
-    return None
+    """First solve_affine solution, or None.  It builds only that one
+    solution, so the cap on the size of the solution family does not
+    apply."""
+    return next(solve_affine(field, A, b, cap=inf), None)
 
 
 def span_matrix(field, rows, cap=SPAN_CAP_DEFAULT):
@@ -483,6 +483,15 @@ def sparse_vectors(q, k, r):
                 for pos, val in zip(support, vals):
                     v[pos] = val
                 yield v
+
+
+def sparse_blocks(q, k, r, size):
+    """sparse_vectors(q, k, r) in the same order, as arrays of at most
+    `size` rows, so a caller can work on many vectors at once while holding
+    only one block."""
+    vectors = sparse_vectors(q, k, r)
+    while block := list(itertools.islice(vectors, size)):
+        yield np.array(block, dtype=np.int64)
 
 
 def all_combinations(field, rows):

@@ -110,7 +110,7 @@ def _search_fixed_n(masks, hit_idx, nz, d, n, first_types, budget):
             if m:
                 cands.append(t)
                 union |= m
-                cov = bin(m).count("1")
+                cov = m.bit_count()
                 if cov > maxcov:
                     maxcov = cov
         if union != def_mask:

@@ -9,16 +9,14 @@ are split across workers.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .decoding import COSET_BUDGET, Decoder, decode, make_view
+from .decoding import COSET_BUDGET, Decoder, block_rows, decode, make_view
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (check_matrix, make_field, sparse_vectors, sphere_volume,
-                     weight)
+from .fields import check_matrix, make_field, sparse_blocks, sphere_volume
 
 
 # ---------------------------------------------------------------------------
@@ -110,39 +108,64 @@ def draw_error(rng, field, N, delta, forced_weight=None):
     return e
 
 
-def _make_decode_fn(inst, field, L, delta, budget):
-    # the leader table pays off over many trials; fall back to streaming
-    # decodes, which record failures per receiver, when it would not fit or
-    # some receiver cannot decode at all
+def _tally(inst, field, L, decoder, X, E):
+    """Decode a block of broadcasts (messages X, errors E, one per row) at
+    every receiver: (cases, successes, per-receiver failures, max weight).
+    decoder None means no table fits the budget: every receiver fails."""
+    T = len(X)
+    failures = np.zeros(inst.m, dtype=np.int64)
+    everyone = np.ones(T, dtype=bool)
+    Y = field.add_arr(field.matmul(X, L), E)
+    for i in range(inst.m):
+        if decoder is None:
+            right = np.zeros(T, dtype=bool)
+        else:
+            side = X[:, sorted(inst.X[i])]
+            right = decoder.decode_block(i, Y, side) == X[:, inst.f[i]]
+        failures[i] = T - np.count_nonzero(right)
+        everyone &= right
+    return (T, int(np.count_nonzero(everyone)), failures,
+            int(np.count_nonzero(E, axis=1).max(initial=0)))
+
+
+def _merge(parts, mode, seed=None):
+    return CampaignStats(
+        trials=sum(p[0] for p in parts), successes=sum(p[1] for p in parts),
+        failures=tuple(int(v) for v in np.sum([p[2] for p in parts], axis=0)),
+        max_weight=max(p[3] for p in parts), mode=mode, seed=seed)
+
+
+def _decoder_or_none(inst, field, L, delta, budget):
+    # a table over budget is the same refusal every streaming decode meets
     try:
         return Decoder(inst, field, L, delta, budget=budget)
-    except (BudgetExceeded, NotAnIndexCode):
+    except BudgetExceeded:
         return None
 
 
 def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     field = make_field(q)
-    decoder = _make_decode_fn(inst, field, L, delta, budget)
+    decoder = _decoder_or_none(inst, field, L, delta, budget)
     n, N = L.shape
-    successes, max_weight = 0, 0
-    failures = np.zeros(inst.m, dtype=np.int64)
-    for t in range(start, stop):
-        rng = np.random.default_rng((seed, t))
-        x = rng.integers(0, q, size=n)
-        e = draw_error(rng, field, N, delta, forced_weight)
-        run = simulate_once(inst, field, L, delta, x, e,
-                            decoder=decoder, budget=budget,
-                            seed=seed, trial=t)
-        successes += run.all_correct
-        failures += ~np.array(run.correct)
-        max_weight = max(max_weight, weight(e))
-    return successes, failures, max_weight
+    step = block_rows(n, N)
+    parts = []
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
+        X = np.empty((b - a, n), dtype=np.int64)
+        E = np.empty((b - a, N), dtype=np.int64)
+        for t in range(a, b):
+            rng = np.random.default_rng((seed, t))
+            X[t - a] = rng.integers(0, q, size=n)
+            E[t - a] = draw_error(rng, field, N, delta, forced_weight)
+        parts.append(_tally(inst, field, L, decoder, X, E))
+    return parts
 
 
-def _exhaustive_errors(q, N, cap, forced_weight):
-    for e in sparse_vectors(q, N, cap):
-        if forced_weight is None or weight(e) == forced_weight:
-            yield e
+def _messages(q, n, start, stop):
+    """Message vectors start..stop-1 of itertools.product(range(q),
+    repeat=n), one per row."""
+    idx = np.arange(start, stop, dtype=np.int64)[:, None]
+    return idx // q ** np.arange(n - 1, -1, -1, dtype=np.int64) % q
 
 
 def trial_campaign(inst, field, L, delta, trials, seed,
@@ -156,10 +179,19 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     message vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.
 
-    budget caps the error patterns a leader table or a streaming decode may
-    inspect and, in exhaustive mode, the cases enumerated: q^n message
-    vectors times the sphere_volume(q, N, delta or forced_weight) error
-    patterns scanned.  BudgetExceeded is raised before any case runs.
+    Trials are evaluated a block at a time (block_rows trials): the block's
+    messages X and errors E give Y = X L + E with one matmul, and each
+    receiver strips its side information, takes syndromes, looks up leaders
+    in its Decoder table and recovers its symbol for the whole block with
+    array operations.  The outcomes equal simulate_once on each trial.  A
+    receiver with no combiner (NotAnIndexCode) fails every trial; when the
+    leader table exceeds budget, every receiver fails every trial, as the
+    streaming decodes would.
+
+    budget caps the error patterns a leader table may hold and, in
+    exhaustive mode, the cases enumerated: q^n message vectors times the
+    sphere_volume(q, N, delta or forced_weight) error patterns scanned.
+    BudgetExceeded is raised before any case runs.
     """
     L = check_matrix(field, L)
     n, N = L.shape
@@ -174,21 +206,22 @@ def trial_campaign(inst, field, L, delta, trials, seed,
         if cases > budget:
             raise BudgetExceeded(
                 f"exhaustive campaign of {cases} cases exceeds budget {budget}")
-        decoder = _make_decode_fn(inst, field, L, delta, budget)
-        successes, total, max_weight = 0, 0, 0
-        failures = np.zeros(inst.m, dtype=np.int64)
-        for x in itertools.product(range(field.q), repeat=n):
-            for e in _exhaustive_errors(field.q, N, cap, forced_weight):
-                run = simulate_once(inst, field, L, delta,
-                                    np.array(x, dtype=np.int64), e,
-                                    decoder=decoder, budget=budget)
-                total += 1
-                successes += run.all_correct
-                failures += ~np.array(run.correct)
-                max_weight = max(max_weight, weight(e))
-        return CampaignStats(trials=total, successes=successes,
-                             failures=tuple(int(v) for v in failures),
-                             max_weight=max_weight, mode="exhaustive")
+        decoder = _decoder_or_none(inst, field, L, delta, budget)
+        parts = []
+        step = block_rows(n, N)
+        for errors in sparse_blocks(field.q, N, cap, step):
+            if forced_weight is not None:
+                errors = errors[np.count_nonzero(errors, axis=1)
+                                == forced_weight]
+            if not len(errors):
+                continue
+            per = max(1, step // len(errors))
+            for a in range(0, field.q ** n, per):
+                X = _messages(field.q, n, a, min(a + per, field.q ** n))
+                parts.append(_tally(inst, field, L, decoder,
+                                    np.repeat(X, len(errors), axis=0),
+                                    np.tile(errors, (len(X), 1))))
+        return _merge(parts, "exhaustive")
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -198,16 +231,11 @@ def trial_campaign(inst, field, L, delta, trials, seed,
                  forced_weight, budget)
                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_star, args))
+            chunks = list(pool.map(_run_chunk_star, args))
     else:
-        parts = [_run_chunk(inst, field.q, L, delta, seed, 0, trials,
-                            forced_weight, budget)]
-    successes = sum(p[0] for p in parts)
-    failures = np.sum([p[1] for p in parts], axis=0)
-    max_weight = max(p[2] for p in parts)
-    return CampaignStats(trials=trials, successes=successes,
-                         failures=tuple(int(v) for v in failures),
-                         max_weight=int(max_weight), mode="random", seed=seed)
+        chunks = [_run_chunk(inst, field.q, L, delta, seed, 0, trials,
+                             forced_weight, budget)]
+    return _merge([p for chunk in chunks for p in chunk], "random", seed)
 
 
 def _run_chunk_star(args):

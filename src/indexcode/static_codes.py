@@ -27,7 +27,8 @@ from .fields import (check_matrix, make_field, rank, span_matrix,
 from .instances import Instance, make_instance
 from .search import normalize_projective, projective_reps
 
-COMBO_BUDGET = 2_000_000        # coefficient vectors verify_rho_delta may scan
+COMBO_BUDGET = 2_000_000        # verify_rho_delta coefficient vectors with
+                                # leading coefficient 1 (the ones it scans)
 PARITY_NODE_BUDGET = 2_000_000  # DFS extensions in the parity-check search
 GREEDY_WORK_CAP = 1 << 24       # candidate*combination pairs per greedy step
 RESILIENCE_BUDGET = 1 << 24     # (rho-subsets) x (fixings) x inputs counted
@@ -104,6 +105,7 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     Supports are scanned by (size, lex); within a support the leading
     coefficient is fixed to 1 (scaling cannot change a weight) and the
     remaining coefficients run through an odometer, last position fastest.
+    budget caps the vectors scanned: (sphere_volume(q, n, rho) - 1) / (q - 1).
     """
     L = check_matrix(field, L)
     n, N = L.shape
@@ -112,7 +114,7 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     if delta < 0:
         raise ValueError("delta must be >= 0")
     q = field.q
-    total = sphere_volume(q, n, rho) - 1
+    total = (sphere_volume(q, n, rho) - 1) // (q - 1)
     if total > budget:
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
     need = 2 * delta + 1

@@ -176,6 +176,13 @@ def test_decode_beyond_radius_is_fail(files, capsys, F2, k3, k3_L, tmp_path):
                  "--delta", "1"]) == FAIL
 
 
+def test_decode_negative_radius_is_usage_error(files, capsys):
+    assert main(["decode", "--instance", files["k3"], "--matrix",
+                 files["k3L"], "--received", files["recv"],
+                 "--delta", "-1"]) == USAGE
+    assert "delta must be >= 0" in capsys.readouterr().err
+
+
 def test_simulate_clean_campaign(files, capsys):
     assert main(["simulate", "--instance", files["k3"], "--matrix",
                  files["k3L"], "--delta", "1", "--trials", "200",

@@ -254,6 +254,72 @@ def test_decoder_budget(F2, pentagon, pentagon_L9):
         Decoder(pentagon, F2, pentagon_L9, 2, budget=5)
 
 
+def _outcome(fn, view):
+    try:
+        res = fn(view)
+    except (TooManyErrors, NotAnIndexCode) as exc:
+        return type(exc).__name__
+    return (res.x_hat, tuple(res.e_hat), tuple(res.syndrome),
+            tuple(res.combiner), res.weight_searched)
+
+
+def test_decoder_matches_streaming_on_every_view_gf4():
+    # every received word and side assignment at every receiver, on seeded
+    # random instances; some receivers have no combiner and some words no
+    # leader, and the table must raise exactly where decode() raises
+    F4 = make_field(4)
+    rng = np.random.default_rng(31)
+    raised = set()
+    for _ in range(6):
+        inst = random_instance(rng, 2, 3)
+        N = int(rng.integers(2, 4))
+        L = rng.integers(0, 4, size=(inst.n, N))
+        delta = int(rng.integers(0, 2))
+        table = Decoder(inst, F4, L, delta)
+        for i in range(inst.m):
+            X = sorted(inst.X[i])
+            for y in itertools.product(range(4), repeat=N):
+                for vals in itertools.product(range(4), repeat=len(X)):
+                    view = make_view(inst, F4, i, y, dict(zip(X, vals)))
+                    a = _outcome(lambda v: decode(inst, F4, L, delta, v),
+                                 view)
+                    assert _outcome(table.decode, view) == a
+                    if isinstance(a, str):
+                        raised.add(a)
+    assert raised == {"TooManyErrors", "NotAnIndexCode"}
+
+
+def test_decoder_keys_beyond_int64():
+    # 2 x 40 over GF(4): the local codes have 38 or more parity checks and
+    # 4**38 keys overflow int64, so the table keys are Python ints
+    F4 = make_field(4)
+    inst = make_instance(2, (0, 1), ({1}, set()))
+    rng = np.random.default_rng(32)
+    L = rng.integers(0, 4, size=(2, 40))
+    table = Decoder(inst, F4, L, 1)
+    for _ in range(20):
+        x = rng.integers(0, 4, size=2)
+        e = np.zeros(40, dtype=np.int64)
+        e[rng.integers(0, 40, size=int(rng.integers(0, 3)))] = 3
+        for i in range(2):
+            view = transmit(inst, F4, L, x, e, i)
+            assert (_outcome(table.decode, view)
+                    == _outcome(lambda v: decode(inst, F4, L, 1, v), view))
+
+
+def test_negative_radius_is_rejected(F2, k3, k3_L):
+    view = transmit(k3, F2, k3_L, np.zeros(3, dtype=np.int64),
+                    np.zeros(4, dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        decode(k3, F2, k3_L, -1, view)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        Decoder(k3, F2, k3_L, -1)
+    _, H = code_Ci(k3, F2, k3_L, 0)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        min_weight_coset_solution(F2, H, np.zeros(len(H), dtype=np.int64),
+                                  -1)
+
+
 # ---------------------------------------------------------------------------
 # received-word files
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from indexcode.fields import (
     solve_affine,
     solve_one,
     span_matrix,
+    sparse_blocks,
     sparse_vectors,
     sphere_volume,
     weight,
@@ -279,6 +280,18 @@ def test_sparse_vectors_order_and_count():
     assert got[7:11] == [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)]
     assert list(sparse_vectors(3, 3, -1)) == []
     assert len({tuple(v) for v in sparse_vectors(3, 3, 5)}) == 27
+
+
+def test_sparse_blocks_follow_sparse_vectors():
+    for q, k, r, size in [(2, 5, 2, 4), (3, 4, 4, 7), (4, 3, 1, 100),
+                          (2, 0, 1, 3)]:
+        blocks = list(sparse_blocks(q, k, r, size))
+        assert all(1 <= len(b) <= size for b in blocks)
+        assert all(len(b) == size for b in blocks[:-1])
+        flat = np.concatenate(blocks)
+        assert flat.shape == (sphere_volume(q, k, r), k)
+        assert np.array_equal(flat, np.array(list(sparse_vectors(q, k, r))))
+    assert list(sparse_blocks(3, 3, -1, 5)) == []
 
 
 def test_span_cap_enforced():

@@ -1,15 +1,20 @@
 """Broadcast simulation: single runs, random campaigns, exhaustive sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from indexcode.errors import BudgetExceeded
+from indexcode.fields import make_field, sparse_vectors, sphere_volume, weight
 from indexcode.sim import (
     CampaignStats,
     draw_error,
     simulate_once,
     trial_campaign,
 )
+
+from conftest import random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +182,87 @@ def test_campaign_validation(F2, k3, k3_L):
         trial_campaign(k3, F2, k3_L, 1, 0, 0)
     with pytest.raises(ValueError):
         trial_campaign(k3, F2, k3_L, 1, 10, 0, forced_weight=9)
+
+
+# ---------------------------------------------------------------------------
+# the batched campaign against the per-trial oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_campaign(inst, field, L, delta, trials, seed, forced_weight=None,
+                     exhaustive=False, budget=2_000_000):
+    """(trials, successes, failures, max_weight) from one simulate_once per
+    case, every receiver decoded by the streaming decode()."""
+    n, N = L.shape
+    if exhaustive:
+        cap = delta if forced_weight is None else forced_weight
+        cases = [(np.array(x), e)
+                 for x in itertools.product(range(field.q), repeat=n)
+                 for e in sparse_vectors(field.q, N, cap)
+                 if forced_weight is None or weight(e) == forced_weight]
+    else:
+        cases = []
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            x = rng.integers(0, field.q, size=n)
+            cases.append((x, draw_error(rng, field, N, delta, forced_weight)))
+    successes, max_weight = 0, 0
+    failures = np.zeros(inst.m, dtype=np.int64)
+    for x, e in cases:
+        run = simulate_once(inst, field, L, delta, x, e, budget=budget)
+        successes += run.all_correct
+        failures += ~np.array(run.correct)
+        max_weight = max(max_weight, weight(e))
+    return len(cases), successes, tuple(int(v) for v in failures), max_weight
+
+
+def _stats(st):
+    return st.trials, st.successes, st.failures, st.max_weight
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_campaign_matches_per_trial_oracle(q):
+    # seeded random instances and matrices: some receivers have no
+    # combiner, some codes correct nothing; within the radius and beyond
+    field = make_field(q)
+    rng = np.random.default_rng(60 + q)
+    for _ in range(6):
+        inst = random_instance(rng, 2, 3 if q < 4 else 2)
+        N = int(rng.integers(2, 5 if q < 4 else 4))
+        L = rng.integers(0, q, size=(inst.n, N))
+        delta = int(rng.integers(0, 2))
+        for forced in (None, delta + 1):
+            for exhaustive in (False, True):
+                st = trial_campaign(inst, field, L, delta, 30, seed=7,
+                                    forced_weight=forced,
+                                    exhaustive=exhaustive)
+                assert _stats(st) == _oracle_campaign(
+                    inst, field, L, delta, 30, 7, forced, exhaustive)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_campaign_over_budget_table_fails_everyone(q):
+    # one pattern short of the leader table: every streaming decode meets
+    # the same refusal, so every receiver fails every trial
+    field = make_field(q)
+    rng = np.random.default_rng(70 + q)
+    inst = random_instance(rng, 2, 3)
+    L = rng.integers(0, q, size=(inst.n, 3))
+    budget = sphere_volume(q, 3, 1) - 1
+    st = trial_campaign(inst, field, L, 1, 25, seed=3, budget=budget)
+    assert st.successes == 0 and st.failures == (25,) * inst.m
+    assert _stats(st) == _oracle_campaign(inst, field, L, 1, 25, 3,
+                                          budget=budget)
+
+
+def test_campaign_workers_match_oracle_gf4():
+    F4 = make_field(4)
+    rng = np.random.default_rng(80)
+    inst = random_instance(rng, 3, 3)
+    L = rng.integers(0, 4, size=(inst.n, 4))
+    for forced in (None, 2):
+        one = trial_campaign(inst, F4, L, 1, 41, seed=5, forced_weight=forced)
+        two = trial_campaign(inst, F4, L, 1, 41, seed=5, forced_weight=forced,
+                             workers=2)
+        assert one == two
+        assert _stats(one) == _oracle_campaign(inst, F4, L, 1, 41, 5, forced)

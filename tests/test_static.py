@@ -111,6 +111,18 @@ def test_verify_rho_delta_distance_three_pair(F2):
     assert not ok and weight(wit[1]) == 2       # their sum weighs 2
 
 
+def test_verify_rho_delta_budget_counts_scanned_vectors():
+    # over GF(4) the scan fixes the leading coefficient to 1: of the
+    # sphere_volume(4, 5, 2) - 1 = 105 nonzero coefficient vectors of
+    # weight <= 2 it inspects 5 + 10 * 3 = 35
+    F4 = make_field(4)
+    L = np.random.default_rng(43).integers(0, 4, size=(5, 6))
+    ok, wit = verify_rho_delta(F4, L, 2, 0, budget=35)
+    assert ok and wit is None
+    with pytest.raises(BudgetExceeded):
+        verify_rho_delta(F4, L, 2, 0, budget=34)
+
+
 def test_verify_rho_delta_full_rho_is_code_distance(F3):
     rng = np.random.default_rng(41)
     for _ in range(10):
