@@ -373,6 +373,8 @@ def search_min_length(inst, field, delta, n_max, workers=1, budget=50_000_000):
     is the lexicographically least certificate at the optimal length; every
     shorter length comes with an exhausted refutation.
     """
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     targets = sorted({normalize_projective(field, z)
                       for z in iter_I(inst, field)})
     columns = projective_reps(field, inst.n)

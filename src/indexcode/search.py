@@ -19,12 +19,22 @@ an ascending-length scan:
 * dead when remaining * (best single-column coverage of deficient targets)
   cannot reach the total deficit;
 * dead when some deficient target is hit by no remaining column type.
+
+Deficits are stored bit-sliced: targets are bit positions, and levels[k] is
+the set of targets still short of k+1 hits, so levels[0] is the deficient
+set and levels[k+1] is a subset of levels[k].  Hitting the deficient targets
+m of a column is levels[k] = (levels[k] & ~m) | (levels[k+1] & m), a few
+int operations whatever the number of targets.  Every node keeps each
+deficit <= remaining, so a child's worst deficit reaches remaining exactly
+when levels[remaining-1] has a target outside m.  reach[t] is the union of
+the masks of types t, t+1, ...; the union rule reads reach[t_min].
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +77,6 @@ def build_hits(field, columns, targets):
 
 
 @dataclass
-class LengthOutcome:
-    n: int
-    solution: tuple | None  # tuple of column-type indices, non-decreasing
-    nodes: int
-    exhausted: bool
-
-
-@dataclass
 class MinLengthResult:
     n_opt: int | None
     solution: tuple | None   # type indices into the column list
@@ -83,17 +85,27 @@ class MinLengthResult:
     certified: bool          # refutations complete (budget never tripped)
 
 
-def _search_fixed_n(masks, hit_idx, nz, d, n, first_types, budget):
-    """DFS for one length; returns LengthOutcome.
+def _search_fixed_n(masks, nz, d, n, first_types, budget):
+    """DFS for one length n >= d; returns (solution, nodes), where the
+    solution is a non-decreasing tuple of column types or None.
 
     first_types restricts the first column's type (worker partitioning);
     recursion below the first level is unrestricted (>= chosen type).
     """
     T = len(masks)
     full_mask = (1 << nz) - 1
+    reach = [0] * (T + 1)
+    for t in range(T - 1, -1, -1):
+        reach[t] = reach[t + 1] | masks[t]
     nodes = 0
 
-    def dfs(deficit, def_mask, def_sum, remaining, t_min):
+    def hit(levels, m):
+        # every target in m loses one unit of deficit
+        nm = ~m
+        return [(levels[k] & nm) | (levels[k + 1] & m)
+                for k in range(d - 1)] + [levels[-1] & nm]
+
+    def dfs(levels, def_sum, remaining, t_min):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -102,71 +114,45 @@ def _search_fixed_n(masks, hit_idx, nz, d, n, first_types, budget):
             return ()
         if remaining == 0:
             return None
+        def_mask = levels[0]
+        if reach[t_min] & def_mask != def_mask:
+            return None
         cands = []
         maxcov = 0
-        union = 0
         for t in range(t_min, T):
             m = masks[t] & def_mask
             if m:
-                cands.append(t)
-                union |= m
                 cov = m.bit_count()
+                cands.append((t, m, cov))
                 if cov > maxcov:
                     maxcov = cov
-        if union != def_mask:
-            return None
         if def_sum > remaining * maxcov:
             return None
-        for t in cands:
-            nd = list(deficit)
-            ns = def_sum
-            nm = def_mask
-            worst = 0
-            for j in hit_idx[t]:
-                if nd[j] > 0:
-                    nd[j] -= 1
-                    ns -= 1
-                    if nd[j] == 0:
-                        nm &= ~(1 << j)
-            for v in nd:
-                if v > worst:
-                    worst = v
-            if worst > remaining - 1:
+        # no deficit exceeds remaining: a child is dead exactly when a
+        # target short of `remaining` hits is outside m
+        tight = levels[remaining - 1] if remaining <= d else 0
+        for t, m, cov in cands:
+            if tight & ~m:
                 continue
-            sub = dfs(tuple(nd), nm, ns, remaining - 1, t)
+            sub = dfs(hit(levels, m), def_sum - cov, remaining - 1, t)
             if sub is not None:
                 return (t,) + sub
         return None
 
-    base = tuple([d] * nz)
-    if max(base, default=0) > n:
-        return LengthOutcome(n, None, 1, True)
-    sol = None
+    levels = [full_mask] * d
+    tight = full_mask if n <= d else 0
     for t in first_types:
         m = masks[t] & full_mask
-        if not m:
+        if not m or tight & ~m:
             continue
-        nd = list(base)
-        ns = d * nz
-        nm = full_mask
-        for j in hit_idx[t]:
-            nd[j] -= 1
-            ns -= 1
-            if nd[j] == 0:
-                nm &= ~(1 << j)
-        if max(nd) > n - 1:
-            continue
-        sub = dfs(tuple(nd), nm, ns, n - 1, t)
+        sub = dfs(hit(levels, m), d * nz - m.bit_count(), n - 1, t)
         if sub is not None:
-            sol = (t,) + sub
-            break
-    return LengthOutcome(n, sol, nodes, sol is None)
+            return (t,) + sub, nodes
+    return None, nodes
 
 
 def _worker(args):
-    masks, hit_idx, nz, d, n, first_types, budget = args
-    out = _search_fixed_n(masks, hit_idx, nz, d, n, first_types, budget)
-    return out.solution, out.nodes
+    return _search_fixed_n(*args)
 
 
 def min_length_search(field, columns, targets, d, n_max,
@@ -174,32 +160,33 @@ def min_length_search(field, columns, targets, d, n_max,
     """Scan lengths d, d+1, ... up to n_max; see module docstring.
 
     columns: candidate column vectors (projective reps, ascending).
-    targets: the vectors that must each be hit at least d times.
+    targets: the vectors that must each be hit at least d times (d >= 1).
+    With workers > 1 one process pool serves the whole scan; each length
+    splits the first column's type round-robin over the workers.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     masks = build_hits(field, columns, targets)
-    hit_idx = [tuple(j for j in range(len(targets)) if m >> j & 1)
-               for m in masks]
     nz = len(targets)
+    chunks = [c for c in (range(w, len(masks), workers)
+                          for w in range(workers)) if c]
     refuted = {}
     total_nodes = 0
-    for n in range(max(d, 1), n_max + 1):
-        if workers > 1:
-            chunks = [list(range(w, len(masks), workers))
-                      for w in range(workers)]
-            args = [(masks, hit_idx, nz, d, n, chunk, budget)
-                    for chunk in chunks if chunk]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_worker, args))
-            sols = [s for s, _ in results if s is not None]
-            n_nodes = sum(nn for _, nn in results)
-            sol = min(sols) if sols else None
-        else:
-            out = _search_fixed_n(masks, hit_idx, nz, d, n,
-                                  range(len(masks)), budget)
-            n_nodes = out.nodes
-            sol = out.solution
-        total_nodes += n_nodes
-        if sol is not None:
-            return MinLengthResult(n, sol, total_nodes, refuted, True)
-        refuted[n] = n_nodes
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for n in range(d, n_max + 1):
+            if pool is not None:
+                results = list(pool.map(
+                    _worker, [(masks, nz, d, n, chunk, budget)
+                              for chunk in chunks]))
+                sols = [s for s, _ in results if s is not None]
+                n_nodes = sum(nn for _, nn in results)
+                sol = min(sols) if sols else None
+            else:
+                sol, n_nodes = _search_fixed_n(masks, nz, d, n,
+                                               range(len(masks)), budget)
+            total_nodes += n_nodes
+            if sol is not None:
+                return MinLengthResult(n, sol, total_nodes, refuted, True)
+            refuted[n] = n_nodes
     return MinLengthResult(None, None, total_nodes, refuted, True)

@@ -97,10 +97,11 @@ class CampaignStats:
 
 
 def draw_error(rng, field, N, delta, forced_weight=None):
-    """Two-stage error draw: weight uniform on 0..delta (or forced), then
-    support uniform among subsets, then values uniform among nonzeros."""
+    """Two-stage error draw: weight uniform on 0..min(delta, N) (or
+    forced), then support uniform among subsets, then values uniform among
+    nonzeros."""
     w = forced_weight if forced_weight is not None \
-        else int(rng.integers(0, delta + 1))
+        else int(rng.integers(0, min(delta, N) + 1))
     e = np.zeros(N, dtype=np.int64)
     if w:
         support = rng.choice(N, size=w, replace=False)
@@ -174,7 +175,8 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     """Tally decoding outcomes over many broadcasts.
 
     Random mode runs `trials` draws: x uniform, error weight uniform on
-    0..delta (or exactly forced_weight), then support and values uniform.
+    0..min(delta, N) (or exactly forced_weight), then support and values
+    uniform.
     Exhaustive mode ignores `trials` and `seed` and enumerates every
     message vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.

@@ -1,0 +1,84 @@
+"""The column-multiset DFS: pinned golden work and a brute-force oracle."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from indexcode.bounds import nq_kd
+from indexcode.codes import min_rank, search_min_length
+from indexcode.fields import make_field
+from indexcode.search import min_length_search, projective_reps
+from indexcode.static_codes import static_bounds
+
+
+# ---------------------------------------------------------------------------
+# golden work: the node counts the benchmark baseline records
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.slow
+def test_golden_search_work(F2, pentagon, ring5):
+    for inst, n_opt, nodes, refuted in (
+            (pentagon, 9, 149_103, {5: 0, 6: 31, 7: 31, 8: 10_688}),
+            (ring5, 8, 26_693, {5: 0, 6: 31, 7: 31})):
+        n_max = nq_kd(2, min_rank(inst, F2).kappa, 5).N
+        rep = search_min_length(inst, F2, 2, n_max)
+        assert (rep.n_opt, rep.nodes, rep.refuted) == (n_opt, nodes, refuted)
+
+
+@pytest.mark.slow
+def test_golden_table_work():
+    e = nq_kd(2, 4, 5, mode="search")
+    assert (e.N, e.nodes) == (11, 65_515)
+    rep = static_bounds(6, 3, 1, 3)
+    assert (rep.alpha_entry.nodes, rep.upper_entry.nodes) == (505, 165_262)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def _first_multiset(q, columns, targets, d, n):
+    """Lex-least non-decreasing n-tuple of column indices that hits every
+    target at least d times, by enumeration (prime q only)."""
+    hits = [[sum(a * b for a, b in zip(z, c)) % q != 0 for z in targets]
+            for c in columns]
+    for combo in itertools.combinations_with_replacement(range(len(columns)),
+                                                         n):
+        if all(sum(hits[c][j] for c in combo) >= d
+               for j in range(len(targets))):
+            return combo
+    return None
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2)])
+def test_min_length_search_matches_brute_force(q, k):
+    field = make_field(q)
+    columns = projective_reps(field, k)
+    vectors = list(itertools.product(range(q), repeat=k))[1:]
+    rng = np.random.default_rng(10 * q + k)
+    for _ in range(25):
+        size = int(rng.integers(1, len(vectors) + 1))
+        targets = [vectors[i] for i in sorted(
+            rng.choice(len(vectors), size, replace=False))]
+        d = int(rng.integers(1, 4))
+        n_max = int(rng.integers(d, 7))
+        res = min_length_search(field, columns, targets, d, n_max)
+        stop = n_max + 1 if res.n_opt is None else res.n_opt
+        assert set(res.refuted) == set(range(d, stop))
+        for n in res.refuted:
+            assert _first_multiset(q, columns, targets, d, n) is None
+        if res.n_opt is not None:
+            assert res.solution == _first_multiset(q, columns, targets, d,
+                                                   res.n_opt)
+
+
+def test_search_rejects_bad_counts(F2, pentagon):
+    # before, delta = -1 "refuted" every length with a garbage search
+    columns = projective_reps(F2, 2)
+    with pytest.raises(ValueError):
+        min_length_search(F2, columns, columns, 0, 3)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        search_min_length(pentagon, F2, -1, 3)

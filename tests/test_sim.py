@@ -82,6 +82,18 @@ def test_draw_error_weights(F3):
         assert all(v in (1, 2) for v in e[e != 0])
 
 
+def test_random_campaign_radius_beyond_length(F2, k3, k3_L):
+    # the weight is drawn on 0..min(delta, N), the cap exhaustive mode uses
+    N = k3_L.shape[1]
+    rng = np.random.default_rng(4)
+    weights = {int(np.count_nonzero(draw_error(rng, F2, N, N + 3)))
+               for _ in range(200)}
+    assert weights == set(range(N + 1))
+    st = trial_campaign(k3, F2, k3_L, N + 3, 200, seed=2)
+    assert st.trials == 200 and st.max_weight == N
+    assert _stats(st) == _oracle_campaign(k3, F2, k3_L, N + 3, 200, 2)
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
