@@ -366,12 +366,22 @@ def cmd_nqkd(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(lo):
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def _common():
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--budget", type=int, default=None,
+    c.add_argument("--budget", type=_int_at_least(0), default=None,
                    help="node / table-size cap for the underlying search")
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=_int_at_least(1), default=1)
     return c
 
 

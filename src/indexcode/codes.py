@@ -17,6 +17,7 @@ random sampling, and by exhaustive minimum-length search with certificates.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ from .instances import instance_hash, iter_I, iter_J, y_set
 from .search import min_length_search, normalize_projective, projective_reps
 
 VERIFY_SPAN_CAP = 2**18
+# candidate rows a min_rank node reduces in one step; a receiver with more
+# (q^|X_i| above this) is reduced block by block, in the same order
+MIN_RANK_BLOCK = 2**12
 
 
 @dataclass
@@ -146,72 +150,84 @@ def min_rank(inst, field, node_budget=5_000_000):
     (depth, row-space) states are memoised per level.  After the first
     feasible k, a second fixed-k pass in natural receiver order returns the
     lexicographically least completion.
+
+    Each receiver's q^|X_i| candidate rows are tried in one order (the
+    coefficient of the last element of sorted X_i cycles fastest).  The row
+    space is kept in reduced row echelon form R with pivot columns piv, so
+    a node reduces a whole block of candidates C in one step,
+    C - C[:, piv] R, and the rows left zero are free.  A block is all the
+    candidates when there are at most MIN_RANK_BLOCK of them, built once;
+    otherwise the slowest coefficients fix one block each.
+
+    node_budget caps the DFS nodes: one global count summed over every
+    target rank and both passes.  When it runs out the result is the
+    uncertified identity completion, with lower_bound the target rank the
+    search had reached.
     """
     n, m, q = inst.n, inst.m, field.q
     Xs = [sorted(inst.X[i]) for i in range(m)]
     order = sorted(range(m), key=lambda i: (-len(Xs[i]), i))
     nodes = [0]
+    tables = []
+    for i in range(m):
+        X = Xs[i][::-1]
+        fast = 0
+        while fast < len(X) and q ** (fast + 1) <= MIN_RANK_BLOCK:
+            fast += 1
+        units = np.zeros((fast, n), dtype=np.int64)
+        units[np.arange(fast), X[:fast]] = 1
+        T = all_combinations(field, units)
+        T[:, inst.f[i]] = 1
+        tables.append((T, X[fast:]))
 
-    def reduce_row(ech, row):
-        r = row
-        for pc, pr in ech:
-            c = int(r[pc])
-            if c:
-                r = field.sub_arr(r, field.scale(c, pr))
-        return r
+    def candidates(i):
+        """Receiver i's candidate rows, in DFS order, block by block."""
+        T, slow = tables[i]
+        for block in range(q ** len(slow)):
+            C = T.copy() if slow else T
+            for col in slow:
+                block, C[:, col] = divmod(block, q)
+            yield C
 
-    def extend_ech(ech, res):
-        piv = int(np.nonzero(res)[0][0])
-        new_row = field.scale(field.inv(int(res[piv])), res)
-        out = []
-        for pc, pr in ech:
-            c = int(pr[piv])
-            if c:
-                pr = field.sub_arr(pr, field.scale(c, new_row))
-            out.append((pc, pr))
-        out.append((piv, new_row))
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def ech_key(ech):
-        return tuple((pc, tuple(int(x) for x in pr)) for pc, pr in ech)
+    def extend(R, piv, res):
+        """RREF and pivots of the span of R plus the residual row res."""
+        p = int((res != 0).argmax())
+        row = field.scale(field.inv(int(res[p])), res)
+        R = field.sub_arr(R, field.mul_arr(R[:, p:p + 1], row[None, :]))
+        at = bisect(piv, p)
+        return (np.concatenate((R[:at], row[None, :], R[at:])),
+                piv[:at] + (p,) + piv[at:])
 
     def decide(k, rec_order):
         """Rows completing rec_order with rank <= k, or None."""
         failed = set()
 
-        def dfs(dpt, ech):
+        def dfs(dpt, R, piv):
             if dpt == m:
                 return []
             nodes[0] += 1
             if nodes[0] > node_budget:
                 raise _Budget
-            key = (dpt, ech_key(ech))
+            key = (dpt, R.tobytes())
             if key in failed:
                 return None
-            i = rec_order[dpt]
-            X = Xs[i]
-            for code in range(q ** len(X)):
-                row = np.zeros(n, dtype=np.int64)
-                row[inst.f[i]] = 1
-                cc = code
-                for t in range(len(X) - 1, -1, -1):
-                    row[X[t]] = cc % q
-                    cc //= q
-                res = reduce_row(ech, row)
-                if not res.any():
-                    child = ech
-                elif len(ech) < k:
-                    child = extend_ech(ech, res)
-                else:
-                    continue
-                sub = dfs(dpt + 1, child)
-                if sub is not None:
-                    return [row] + sub
+            for C in candidates(rec_order[dpt]):
+                res = field.sub_arr(C, field.matmul(C[:, list(piv)], R)) \
+                    if piv else C
+                raises = res.any(axis=1).tolist()
+                tries = range(len(C)) if len(piv) < k else \
+                    [code for code, up in enumerate(raises) if not up]
+                for code in tries:
+                    if raises[code]:
+                        sub = dfs(dpt + 1, *extend(R, piv, res[code]))
+                    else:
+                        sub = dfs(dpt + 1, R, piv)
+                    if sub is not None:
+                        return [C[code]] + sub
             failed.add(key)
             return None
 
-        return dfs(0, [])
+        return dfs(0, np.zeros((0, n), dtype=np.int64), ())
 
     natural = list(range(m))
     try:

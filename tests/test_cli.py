@@ -298,6 +298,30 @@ def test_argparse_usage_error_raises_systemexit(files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["minrank", "--budget", "-1"],
+    ["verify", "--matrix", "k3L", "--delta", "0", "--budget", "-1"],
+    ["minrank", "--workers", "0"],
+    ["verify", "--matrix", "k3L", "--delta", "0", "--workers", "0"],
+    ["construct", "search", "--delta", "1", "--workers", "-2"],
+])
+def test_negative_budget_and_nonpositive_workers_are_usage_errors(
+        files, capsys, argv):
+    argv = [files.get(a, a) for a in argv] + ["--instance", files["k3"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err or "must be >= 1" in err
+
+
+def test_zero_budget_is_a_budget_stop(files, capsys):
+    assert main(["minrank", "--instance", files["k3"], "--budget", "0",
+                 "--format", "json"]) == BUDGET
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is False and doc["nodes"] == 1
+
+
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == USAGE
     assert "verify" in capsys.readouterr().out

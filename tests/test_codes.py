@@ -1,10 +1,12 @@
 """Verification, min rank, constructions, and minimum-length search."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from indexcode import codes
 from indexcode.bounds import rs_generator
 from indexcode.codes import (
     check_certificate,
@@ -21,7 +23,8 @@ from indexcode.codes import (
 )
 from indexcode.errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from indexcode.fields import make_field, matrix_from_text, rank, weight
-from indexcode.instances import in_J, iter_I, make_instance
+from indexcode.instances import (in_J, iter_I, make_instance,
+                                 odd_cycle_instance)
 
 from conftest import random_instance
 
@@ -203,23 +206,88 @@ def test_min_rank_matches_brute_force(F2, F3):
             continue
         assert min_rank(inst, field).kappa == _brute_min_rank(inst, field)
         done += 1
+    # extension and larger prime fields, where the reduction goes through
+    # the multiplication tables; skip completions too few to tell much
+    F4, F5 = make_field(4), make_field(5)
+    done = 0
+    while done < 8:
+        field = F4 if rng.random() < 0.5 else F5
+        inst = random_instance(rng, n_lo=3, n_hi=4, m_hi=5)
+        if not 16 <= field.q ** sum(len(x) for x in inst.X) <= 4000:
+            continue
+        assert min_rank(inst, field).kappa == _brute_min_rank(inst, field)
+        done += 1
 
 
 def test_min_rank_returns_lex_least_completion(F2, ring5):
     w = min_rank(ring5, F2)
     flat = tuple(int(v) for v in w.V.ravel())
-    best = None
+    # each receiver's rows ascend, so the product runs in lex order of the
+    # flattened completion and the first one of rank <= kappa is the least
     for choice in itertools.product(*[
-            [np.array(vals) for vals in itertools.product(range(2), repeat=5)
+            [vals for vals in itertools.product(range(2), repeat=5)
              if vals[i] == 1 and all(vals[j] == 0 for j in range(5)
                                      if j != i and j not in ring5.X[i])]
             for i in range(5)]):
-        V = np.stack(choice)
-        if rank(F2, V) <= w.kappa:
-            cand = tuple(int(v) for v in V.ravel())
-            if best is None or cand < best:
-                best = cand
-    assert flat == best
+        if rank(F2, np.array(choice)) <= w.kappa:
+            assert flat == sum(choice, ())
+            break
+    else:
+        pytest.fail("no completion of rank kappa")
+
+
+def test_min_rank_pinned_work(F2, F3, F7, c5bar, pentagon, ring5):
+    """Node counts and the completion the DFS returns; they move when the
+    candidate order, a prune or the memo changes."""
+    w = min_rank(c5bar, F7)
+    assert (w.kappa, w.certified, w.lower_bound, w.nodes) == (3, True, 3, 3194)
+    assert w.V.tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1],
+                            [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
+    for inst, field, nodes in [(pentagon, F2, 52), (ring5, F2, 60),
+                               (ring5, F3, 199), (c5bar, make_field(4), 425),
+                               (odd_cycle_instance(3), F3, 1398)]:
+        assert min_rank(inst, field).nodes == nodes
+
+
+def test_min_rank_seeded_differential_pin():
+    """Certified flag, kappa, lower bound, nodes and V over 200 seeded
+    instances on GF(2)..GF(9) at budgets that stop early, midway and
+    never.  The digest and totals were taken from a DFS that reduced one
+    candidate row at a time."""
+    qs = (2, 3, 4, 5, 7, 8, 9)
+    rng = np.random.default_rng(1)
+    h = hashlib.sha256()
+    nodes = certified = 0
+    for _ in range(200):
+        field = make_field(qs[int(rng.integers(len(qs)))])
+        inst = random_instance(rng)
+        for budget in (7, 40, 20_000):
+            w = min_rank(inst, field, node_budget=budget)
+            h.update(repr((w.certified, w.kappa, w.lower_bound, w.nodes,
+                           w.V.tolist())).encode())
+            nodes += w.nodes
+            certified += w.certified
+    assert (nodes, certified) == (39416, 451)
+    assert h.hexdigest() == ("5dc0862d0117b09cfd55f1dcb664f930"
+                             "eb2f98bc75eeed224fd6006fd1c88b31")
+
+
+def test_min_rank_blocks_keep_the_search(monkeypatch):
+    """Reducing the candidates a few rows at a time, the slow coefficients
+    fixing each block, gives the search of one block per node."""
+    qs = (2, 3, 4, 5)
+    rng = np.random.default_rng(3)
+    cases = [(random_instance(rng), make_field(qs[int(rng.integers(4))]))
+             for _ in range(30)]
+
+    def run():
+        return [(w.certified, w.kappa, w.lower_bound, w.nodes, w.V.tolist())
+                for inst, field in cases for budget in (40, 20_000)
+                for w in [min_rank(inst, field, node_budget=budget)]]
+
+    whole = run()
+    monkeypatch.setattr(codes, "MIN_RANK_BLOCK", 3)
+    assert run() == whole
 
 
 def test_min_rank_budget_degrades_to_uncertified(F2, pentagon):
