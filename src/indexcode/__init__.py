@@ -31,17 +31,12 @@ from .fields import (
     weight,
 )
 from .instances import (
-    Graph,
     Instance,
-    chromatic_number,
-    complement,
     generalized_independence_number,
-    graph_alpha,
     in_J,
     instance_from_json,
     instance_hash,
     instance_to_json,
-    is_symmetric,
     iter_I,
     iter_J,
     load_instance,
@@ -49,7 +44,6 @@ from .instances import (
     odd_cycle_complement_instance,
     odd_cycle_instance,
     save_instance,
-    side_info_graph,
     validate,
     y_set,
 )

@@ -403,15 +403,11 @@ def build_parser():
     a = sub.add_parser("alpha", parents=[common],
                        help="generalized independence number")
     a.add_argument("--instance", required=True)
-    a.add_argument("--delta", type=int, default=0, help="unused; accepted"
-                   " for interface symmetry")
     a.set_defaults(func=cmd_alpha)
 
     m = sub.add_parser("minrank", parents=[common],
                        help="exact min-rank with witness")
     m.add_argument("--instance", required=True)
-    m.add_argument("--delta", type=int, default=0, help="unused; accepted"
-                   " for interface symmetry")
     m.set_defaults(func=cmd_minrank)
 
     b = sub.add_parser("bounds", parents=[common],
@@ -487,7 +483,8 @@ def build_parser():
     sc.add_argument("--length", type=int, required=True,
                     help="number of columns N")
     sc.add_argument("--order", choices=("lex", "seeded"), default="lex")
-    sc.add_argument("--seed", type=int, default=None)
+    sc.add_argument("--seed", type=int, default=0,
+                    help="permutation seed (seeded order only)")
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_static_construct)
 

@@ -9,9 +9,10 @@ each receiver the row L_f(i) stays at Hamming distance >= 2*delta + 1 from
 the span of the rows the receiver can neither see nor wants.
 
 This module verifies that criterion, computes the shortest error-free length
-(min rank over completions v_i + e_f(i)), and builds codes by concatenation,
-by lifting a row-independent core matrix through an outer code, by seeded
-random sampling, and by exhaustive minimum-length search with certificates.
+(min rank over completions v_i + e_f(i)), and builds codes by lifting an
+error-free core matrix through an outer code (concatenation lifts the
+min-rank witness), by seeded random sampling, and by exhaustive
+minimum-length search with certificates.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from .fields import (all_combinations, check_matrix, matrix_from_text,
-                     matrix_to_text, rank, rref, sphere_volume, weight)
-from .instances import instance_hash, iter_I, iter_J, y_set
+                     matrix_to_text, rref, solve_one, sphere_volume, weight)
+from .instances import instance_hash, iter_I, y_set
 from .search import min_length_search, normalize_projective, projective_reps
 
 VERIFY_SPAN_CAP = 2**18
@@ -257,54 +258,41 @@ def min_rank(inst, field, node_budget=5_000_000):
 
 
 def construct_concat(inst, field, delta, outer=None):
-    """Error-free optimal code followed by an outer distance-(2delta+1) code.
+    """Error-free optimal code followed by an outer distance-(2delta+1) code:
+    the lift of the min_rank witness L.
 
     Returns (L, witness, outer_entry); outer_entry is None when an explicit
     outer generator was supplied.
     """
     w = min_rank(inst, field)
-    entry = None
-    if outer is None:
-        from .bounds import nq_kd
-        entry = nq_kd(field.q, w.kappa, 2 * delta + 1, need_generator=True)
-        if entry.generator is None:
-            raise BudgetExceeded(
-                "no outer generator available; pass one explicitly")
-        outer = entry.generator
-    outer = check_matrix(field, outer)
-    if outer.shape[0] != w.kappa:
-        raise ValueError(
-            f"outer code must have {w.kappa} rows, got {outer.shape[0]}")
-    return field.matmul(w.L, outer), w, entry
-
-
-def check_lift_core(inst, field, B):
-    """Rows of B indexed by any confusable support must be independent.
-
-    Equivalent to: no nonzero combination limited to a support in J maps to
-    zero, which is what makes the lift below inherit the outer distance.
-    Returns the first violating support or None.
-    """
-    B = check_matrix(field, B)
-    for K in iter_J(inst):
-        if rank(field, B[list(K)]) < len(K):
-            return K
-    return None
+    L, entry = construct_lift(inst, field, delta, w.L, outer)
+    return L, w, entry
 
 
 def construct_lift(inst, field, delta, B, outer=None):
-    """Lift core matrix B (n x a) through an outer [N, a, >=2delta+1] code.
+    """Lift core matrix B (n x a) through an outer [N, a, >=2delta+1] code G.
 
     Row i of the result is the B_i-combination of the outer generator rows.
-    Returns (L, outer_entry).
+    B must be an error-free index code, verify(inst, field, B, 0): then every
+    confusable z has z B != 0, so z (B G) = (z B) G is a nonzero outer
+    codeword of weight >= 2delta+1.  The check needs no enumeration: z B = 0
+    for some confusable z of receiver i exactly when -B_f(i) is a combination
+    of the rows B[Y_i], one linear solve per receiver.  Returns
+    (L, outer_entry).
     """
     B = check_matrix(field, B)
     if B.shape[0] != inst.n:
         raise ValueError(f"core must have {inst.n} rows")
-    bad = check_lift_core(inst, field, B)
-    if bad is not None:
-        raise NotAnIndexCode(
-            f"core rows on support {tuple(s + 1 for s in bad)} are dependent")
+    for i in range(inst.m):
+        yi = sorted(y_set(inst, i))
+        c = solve_one(field, B[yi].T, field.scale(field.neg(1), B[inst.f[i]]))
+        if c is not None:
+            z = np.zeros(inst.n, dtype=np.int64)
+            z[inst.f[i]] = 1
+            z[yi] = c
+            raise NotAnIndexCode(
+                f"core is not an index code: receiver {i}, "
+                f"z = {z.tolist()} gives z B = 0")
     entry = None
     if outer is None:
         from .bounds import nq_kd

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import (check_matrix, kernel_basis, solve_one, span_matrix,
-                     sparse_blocks, sparse_vectors, sphere_volume, weight)
+                     sparse_blocks, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
@@ -106,21 +106,25 @@ def syndrome(inst, field, L, H, view):
 
 def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
     """Lightest e with H e = beta, in sparse_vectors order; TooManyErrors if
-    none.  budget caps the patterns the search may inspect."""
+    none.  budget caps the patterns the search may inspect; the cost
+    returned counts the patterns up to and including e."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     H = check_matrix(field, H)
     N = H.shape[1]
     beta = np.asarray(beta, dtype=np.int64)
+    if beta.shape != (H.shape[0],):
+        raise ValueError(f"syndrome must have {H.shape[0]} entries")
     total = sphere_volume(field.q, N, delta)
     if total > budget:
         raise BudgetExceeded(
             f"coset search of {total} patterns exceeds budget {budget}")
     cost = 0
-    for e in sparse_vectors(field.q, N, delta):
-        cost += 1
-        if np.array_equal(field.matvec(H, e), beta):
-            return e, cost
+    for E in sparse_blocks(field.q, N, delta, block_rows(0, N)):
+        hits = np.flatnonzero((field.matmul(E, H.T) == beta).all(axis=1))
+        if len(hits):
+            return E[hits[0]].copy(), cost + int(hits[0]) + 1
+        cost += len(E)
     raise TooManyErrors(
         f"no error pattern of weight <= {delta} matches the syndrome")
 

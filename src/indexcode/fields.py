@@ -7,9 +7,10 @@ coefficient tuple with the constant term as the least significant digit.
 
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
 takes the Field explicitly.  This module owns the enumeration orders
-(solution sweeps, all_combinations of rows, sparse_vectors by weight) and
-the Hamming-ball count sphere_volume; they are fixed and documented so that
-searches built on top are reproducible bit for bit.
+(solution sweeps, all_combinations of rows, support_vectors per support and
+sparse_vectors by weight built on it) and the Hamming-ball count
+sphere_volume; they are fixed and documented so that searches built on top
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -258,11 +259,6 @@ class Field:
             return (a - b) % self.p
         return self._add[a, self._neg[b]]
 
-    def neg_arr(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        return self._neg[a]
-
     def mul_arr(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
@@ -466,32 +462,54 @@ def sphere_volume(q, N, r):
     return sum(comb(N, i) * (q - 1) ** i for i in range(min(r, N) + 1))
 
 
+def support_vectors(q, k, support):
+    """The (q-1)**len(support) vectors of F_q^k whose support is exactly
+    `support` (sorted positions), as one array: the nonzero values
+    ascending, the last position fastest."""
+    w = len(support)
+    out = np.zeros(((q - 1) ** w, k), dtype=np.int64)
+    values = np.arange(1, q)[:, None]
+    for j, pos in enumerate(support):
+        # the value at position j steps every (q-1)**(w-1-j) rows
+        out.reshape(-1, q - 1, (q - 1) ** (w - 1 - j), k)[..., pos] = values
+    return out
+
+
+def _support_blocks(q, k, r):
+    """support_vectors of every support of size <= r, in sparse_vectors
+    order."""
+    for w in range(min(r, k) + 1):
+        for support in itertools.combinations(range(k), w):
+            yield support_vectors(q, k, support)
+
+
 def sparse_vectors(q, k, r):
-    """Every vector of F_q^k with weight <= r; sphere_volume(q, k, r) of them.
+    """Every vector of F_q^k with weight <= r, as one array of
+    sphere_volume(q, k, r) rows; no rows when r < 0.
 
     Order: the zero vector first, then weight ascending, support lex, and
-    within a support the nonzero values ascending with the last position
-    fastest.  Yields nothing when r < 0.
+    within a support support_vectors order.
     """
-    if r < 0:
-        return
-    yield np.zeros(k, dtype=np.int64)
-    for w in range(1, min(r, k) + 1):
-        for support in itertools.combinations(range(k), w):
-            for vals in itertools.product(range(1, q), repeat=w):
-                v = np.zeros(k, dtype=np.int64)
-                for pos, val in zip(support, vals):
-                    v[pos] = val
-                yield v
+    return np.concatenate([np.zeros((0, k), dtype=np.int64),
+                           *_support_blocks(q, k, r)])
 
 
 def sparse_blocks(q, k, r, size):
-    """sparse_vectors(q, k, r) in the same order, as arrays of at most
-    `size` rows, so a caller can work on many vectors at once while holding
-    only one block."""
-    vectors = sparse_vectors(q, k, r)
-    while block := list(itertools.islice(vectors, size)):
-        yield np.array(block, dtype=np.int64)
+    """sparse_vectors(q, k, r) in the same order, as arrays of `size` rows
+    (the last one shorter), so a caller can work on many vectors at once
+    while holding about one block."""
+    pending, held = [], 0
+    for block in _support_blocks(q, k, r):
+        pending.append(block)
+        held += len(block)
+        if held >= size:
+            rows = np.concatenate(pending)
+            cut = held - held % size
+            for at in range(0, cut, size):
+                yield rows[at:at + size]
+            pending, held = [rows[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
 
 
 def all_combinations(field, rows):

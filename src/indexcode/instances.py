@@ -19,11 +19,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceeded, InvalidInstance
+from .fields import support_vectors
 
-GRAPH_CAP = 24  # exact independence/chromatic searches refuse larger graphs
+GRAPH_CAP = 24  # the exact independence search refuses more messages
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ def in_J(inst, K):
 def iter_I(inst, field, cap=2**22):
     """Yield every nonzero vector whose support lies in J.
 
-    Supports follow iter_J order; values on a support run through an
-    ascending-code odometer (last position fastest).
+    Supports follow iter_J order; the values on a support follow
+    support_vectors order (ascending, last position fastest).
     """
     q = field.q
     supports = iter_J(inst, cap)
@@ -111,11 +110,7 @@ def iter_I(inst, field, cap=2**22):
     if total > cap:
         raise BudgetExceeded(f"I enumeration of {total} vectors exceeds cap {cap}")
     for K in supports:
-        for vals in itertools.product(range(1, q), repeat=len(K)):
-            z = np.zeros(inst.n, dtype=np.int64)
-            for pos, v in zip(K, vals):
-                z[pos] = v
-            yield z
+        yield from support_vectors(q, inst.n, K)
 
 
 # ---------------------------------------------------------------------------
@@ -157,119 +152,6 @@ def generalized_independence_number(inst):
 
     extend([], roots)
     return best[0], best[1]
-
-
-# ---------------------------------------------------------------------------
-# graph view (one receiver per message)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Directed graph on message vertices; succ[u] = vertices u points to."""
-    n: int
-    succ: tuple
-
-
-def side_info_graph(inst):
-    """Vertex u points to every message its receiver owns.
-
-    Requires one receiver per message (m = n, f a bijection).
-    """
-    if inst.m != inst.n or sorted(inst.f) != list(range(inst.n)):
-        raise InvalidInstance("graph view needs m = n and f a bijection")
-    owner = {inst.f[i]: i for i in range(inst.m)}
-    succ = tuple(frozenset(inst.X[owner[u]]) for u in range(inst.n))
-    return Graph(inst.n, succ)
-
-
-def is_symmetric(G):
-    return all(u in G.succ[w] for u in range(G.n) for w in G.succ[u])
-
-
-def undirected_edges(G):
-    """Symmetric closure as a set of frozenset pairs."""
-    out = set()
-    for u in range(G.n):
-        for w in G.succ[u]:
-            if u != w:
-                out.add(frozenset((u, w)))
-    return out
-
-
-def complement(G):
-    """Complement of the symmetric closure (simple undirected graph)."""
-    edges = undirected_edges(G)
-    succ = []
-    for u in range(G.n):
-        succ.append(frozenset(w for w in range(G.n)
-                              if w != u and frozenset((u, w)) not in edges))
-    return Graph(G.n, tuple(succ))
-
-
-def graph_alpha(G):
-    """Maximum independent set size of the symmetric closure."""
-    if G.n > GRAPH_CAP:
-        raise BudgetExceeded(f"exact search capped at {GRAPH_CAP} vertices")
-    edges = undirected_edges(G)
-    adj = [set() for _ in range(G.n)]
-    for e in edges:
-        u, w = tuple(e)
-        adj[u].add(w)
-        adj[w].add(u)
-
-    best = [0]
-
-    def extend(size, cands):
-        if size > best[0]:
-            best[0] = size
-        for idx, v in enumerate(cands):
-            if size + len(cands) - idx <= best[0]:
-                return
-            extend(size + 1, [w for w in cands[idx + 1:] if w not in adj[v]])
-
-    extend(0, list(range(G.n)))
-    return best[0]
-
-
-def chromatic_number(G):
-    """Exact chromatic number of the symmetric closure."""
-    if G.n > GRAPH_CAP:
-        raise BudgetExceeded(f"exact search capped at {GRAPH_CAP} vertices")
-    if G.n == 0:
-        return 0
-    edges = undirected_edges(G)
-    adj = [set() for _ in range(G.n)]
-    for e in edges:
-        u, w = tuple(e)
-        adj[u].add(w)
-        adj[w].add(u)
-    order = sorted(range(G.n), key=lambda v: -len(adj[v]))
-
-    def colorable(k):
-        color = {}
-
-        def assign(pos, maxc):
-            if pos == len(order):
-                return True
-            v = order[pos]
-            used = {color[w] for w in adj[v] if w in color}
-            # symmetry break: reuse an existing color or open only the next one
-            for c in range(min(k, maxc + 2)):
-                if c in used:
-                    continue
-                color[v] = c
-                if assign(pos + 1, max(maxc, c)):
-                    return True
-                del color[v]
-            return False
-
-        return assign(0, -1)
-
-    for k in range(1, G.n + 1):
-        if colorable(k):
-            return k
-    return G.n
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class SimulationRun:
 
 
 def simulate_once(inst, field, L, delta, x, error,
-                  decoder=None, budget=COSET_BUDGET, seed=None, trial=None):
+                  budget=COSET_BUDGET, seed=None, trial=None):
     """Encode x, add the error, and decode at every receiver.
 
     Decoder-stage failures (no pattern within radius delta, budget, or a
@@ -60,10 +60,7 @@ def simulate_once(inst, field, L, delta, x, error,
         view = make_view(inst, field, i, y,
                          {j: int(x[j]) for j in inst.X[i]})
         try:
-            if decoder is not None:
-                res = decoder.decode(view)
-            else:
-                res = decode(inst, field, L, delta, view, budget=budget)
+            res = decode(inst, field, L, delta, view, budget=budget)
             x_hat.append(res.x_hat)
             notes.append(None)
         except (TooManyErrors, BudgetExceeded, NotAnIndexCode) as exc:

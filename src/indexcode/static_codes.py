@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import CodeTableEntry, nq_kd
 from .errors import BudgetExceeded
 from .fields import (check_matrix, make_field, rank, span_matrix,
-                     sparse_vectors, sphere_volume)
+                     sparse_vectors, sphere_volume, support_vectors)
 from .instances import Instance, make_instance
 from .search import normalize_projective, projective_reps
 
@@ -103,8 +103,8 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     Returns (True, None) or (False, (coeffs, combination)) where coeffs is
     the full-length coefficient vector of the first failing combination.
     Supports are scanned by (size, lex); within a support the leading
-    coefficient is fixed to 1 (scaling cannot change a weight) and the
-    remaining coefficients run through an odometer, last position fastest.
+    coefficient is fixed to 1 (scaling cannot change a weight), which keeps
+    the first (q-1)**(size-1) rows of its support_vectors block.
     budget caps the vectors scanned: (sphere_volume(q, n, rho) - 1) / (q - 1).
     """
     L = check_matrix(field, L)
@@ -119,20 +119,14 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
     need = 2 * delta + 1
     for size in range(1, rho + 1):
-        tails = [np.array(t, dtype=np.int64)
-                 for t in itertools.product(range(1, q), repeat=size - 1)]
         for supp in combinations(range(n), size):
-            rows = L[list(supp)]
-            coeffs = np.ones((len(tails), size), dtype=np.int64)
-            if size > 1:
-                coeffs[:, 1:] = np.array(tails, dtype=np.int64)
-            combos = field.matmul(coeffs, rows)
-            wts = np.count_nonzero(combos, axis=1)
-            bad = np.nonzero(wts < need)[0]
+            # the rows of support_vectors(q, n, supp) that start with 1
+            Z = support_vectors(q, n, supp[1:])
+            Z[:, supp[0]] = 1
+            combos = field.matmul(Z, L)
+            bad = np.nonzero(np.count_nonzero(combos, axis=1) < need)[0]
             if len(bad):
-                z = np.zeros(n, dtype=np.int64)
-                z[list(supp)] = coeffs[bad[0]]
-                return False, (z, combos[bad[0]].copy())
+                return False, (Z[bad[0]].copy(), combos[bad[0]].copy())
     return True, None
 
 
@@ -162,8 +156,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
         if k == n:
             return True
         # a column c joining forbids c + z.chosen for every z of weight <= rho-2
-        Z = np.array(list(sparse_vectors(field.q, k, rho - 2)), dtype=np.int64)
-        combos = field.matmul(Z.reshape(sphere_volume(field.q, k, rho - 2), k),
+        combos = field.matmul(sparse_vectors(field.q, k, rho - 2),
                               np.array(chosen, dtype=np.int64).reshape(k, N))
         for idx in range(start, len(reps)):
             nodes += 1
@@ -304,8 +297,9 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     chosen order (full rescan, so the counting guarantee applies verbatim:
     whenever gv_inequality holds the greedy cannot dead-end, in any order).
 
-    order="lex" scans F_q^N lexicographically; order="seeded" scans a
-    seeded permutation of it.  Dead ends only report how far they got.
+    order="lex" scans F_q^N lexicographically; order="seeded" scans the
+    permutation of it drawn from default_rng(seed), so seed is required.
+    Dead ends only report how far they got.
     """
     field = make_field(q)
     if not 1 <= rho <= n:
@@ -314,6 +308,8 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
         raise ValueError("need delta >= 0 and N >= 1")
     if order not in ("lex", "seeded"):
         raise ValueError(f"unknown order {order!r}")
+    if order == "seeded" and seed is None:
+        raise ValueError("order='seeded' needs a seed")
     max_combos = sphere_volume(q, n - 1, rho - 1)
     if q ** N * max_combos > GREEDY_WORK_CAP:
         raise BudgetExceeded(
@@ -328,9 +324,8 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     rows = []
     while len(rows) < n:
         # every combination of <= rho-1 placed rows, zero included
-        Z = np.array(list(sparse_vectors(q, len(rows), rho - 1)),
-                     dtype=np.int64)
-        V = field.matmul(Z, np.array(rows, dtype=np.int64).reshape(-1, N))
+        V = field.matmul(sparse_vectors(q, len(rows), rho - 1),
+                         np.array(rows, dtype=np.int64).reshape(-1, N))
         sums = field.add_arr(pool[:, None, :], V[None, :, :])
         ok = (np.count_nonzero(sums, axis=2) >= need).all(axis=1)
         hits = np.nonzero(ok)[0]

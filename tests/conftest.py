@@ -4,11 +4,17 @@ k3: three receivers in a triangle, everyone owns the other two messages.
 ring5: five messages in a ring, each receiver owns the next three.
 pentagon: five messages, each receiver owns its two cyclic neighbours.
 c5bar: each receiver owns everything but itself and its two neighbours.
+
+The graph view at the end is the oracle for
+generalized_independence_number on one-receiver-per-message instances.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from indexcode.errors import InvalidInstance
 from indexcode.fields import make_field
 from indexcode.instances import (
     make_instance,
@@ -97,3 +103,53 @@ def random_symmetric_instance(rng, n_lo=2, n_hi=7):
                 X[u].add(w)
                 X[w].add(u)
     return make_instance(n, range(n), X)
+
+
+# ---------------------------------------------------------------------------
+# graph view (one receiver per message)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Directed graph on message vertices; succ[u] = vertices u points to."""
+    n: int
+    succ: tuple
+
+
+def side_info_graph(inst):
+    """Vertex u points to every message its receiver owns.
+
+    Requires one receiver per message (m = n, f a bijection).
+    """
+    if inst.m != inst.n or sorted(inst.f) != list(range(inst.n)):
+        raise InvalidInstance("graph view needs m = n and f a bijection")
+    owner = {inst.f[i]: i for i in range(inst.m)}
+    succ = tuple(frozenset(inst.X[owner[u]]) for u in range(inst.n))
+    return Graph(inst.n, succ)
+
+
+def is_symmetric(G):
+    return all(u in G.succ[w] for u in range(G.n) for w in G.succ[u])
+
+
+def graph_alpha(G):
+    """Maximum independent set size of the symmetric closure."""
+    adj = [set() for _ in range(G.n)]
+    for u in range(G.n):
+        for w in G.succ[u]:
+            adj[u].add(w)
+            adj[w].add(u)
+
+    best = [0]
+
+    def extend(size, cands):
+        if size > best[0]:
+            best[0] = size
+        for idx, v in enumerate(cands):
+            if size + len(cands) - idx <= best[0]:
+                return
+            extend(size + 1, [w for w in cands[idx + 1:] if w not in adj[v]])
+
+    extend(0, list(range(G.n)))
+    return best[0]

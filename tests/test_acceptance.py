@@ -24,11 +24,7 @@ from indexcode.codes import (
 )
 from indexcode.decoding import Decoder, transmit
 from indexcode.fields import make_field, weight
-from indexcode.instances import (
-    generalized_independence_number,
-    graph_alpha,
-    side_info_graph,
-)
+from indexcode.instances import generalized_independence_number
 from indexcode.static_codes import (
     canonical_instance,
     gv_greedy,
@@ -38,7 +34,8 @@ from indexcode.static_codes import (
     weak_resilience_check,
 )
 
-from conftest import random_instance, random_symmetric_instance
+from conftest import (graph_alpha, random_instance, random_symmetric_instance,
+                      side_info_graph)
 
 
 def _light_errors(q, N, delta):

@@ -235,6 +235,16 @@ def test_static_construct(files, capsys):
     assert L.shape == (4, 7) and q == 2
 
 
+def test_static_construct_seeded_order_is_reproducible(files, capsys):
+    argv = ["static", "construct", "--n", "4", "--rho", "2", "--delta", "1",
+            "--q", "2", "--length", "7", "--order", "seeded"]
+    outs = []
+    for extra in ([], [], ["--seed", "0"]):
+        assert main(argv + extra) == OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_static_construct_dead_end(files, capsys):
     assert main(["static", "construct", "--n", "4", "--rho", "2",
                  "--delta", "1", "--q", "2", "--length", "4"]) == FAIL

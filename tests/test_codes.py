@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from indexcode import codes
 from indexcode.bounds import rs_generator
 from indexcode.codes import (
     check_certificate,
-    check_lift_core,
     construct_concat,
     construct_lift,
     construct_random,
@@ -330,7 +330,6 @@ def test_construct_concat_rejects_wrong_outer_rows(F2, ring5):
 
 def test_construct_lift_ring5(F2, ring5):
     B = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
-    assert check_lift_core(ring5, F2, B) is None
     L, entry = construct_lift(ring5, F2, 2, B)
     assert L.shape == (5, 8) and entry.N == 8
     assert verify(ring5, F2, L, 2).ok
@@ -339,11 +338,80 @@ def test_construct_lift_ring5(F2, ring5):
 
 
 def test_construct_lift_rejects_bad_core(F2, ring5):
+    # receiver 4 has Y = {3}; the zero row 4 leaves z = e_4 with z B = 0
     B = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [0, 0]], dtype=np.int64)
-    bad = check_lift_core(ring5, F2, B)
-    assert bad is not None and 4 in bad
-    with pytest.raises(NotAnIndexCode):
+    with pytest.raises(NotAnIndexCode, match=r"z = \[0, 0, 0, 0, 1\]"):
         construct_lift(ring5, F2, 2, B)
+
+
+def test_construct_lift_accepts_dependent_rows_on_a_support(F2):
+    # rows 1 and 2 of the core are dependent on the support {1, 2} of J, yet
+    # the core is an error-free index code, so its lift corrects delta = 1
+    inst = make_instance(3, (0,), ({},))
+    B = min_rank(inst, F2).L
+    assert np.array_equal(B, [[1], [0], [0]])
+    L, entry = construct_lift(inst, F2, 1, B)
+    assert verify(inst, F2, L, 1).ok
+    assert np.array_equal(L, F2.matmul(B, entry.generator))
+
+
+def test_construct_lift_accepts_exactly_the_error_free_cores():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(80):
+        q = int(rng.choice([2, 3, 4, 5, 7]))
+        field = make_field(q)
+        inst = random_instance(rng, n_hi=4)
+        B = rng.integers(0, q, size=(inst.n, int(rng.integers(1, 4))))
+        outer = np.eye(B.shape[1], dtype=np.int64)
+        ok = verify(inst, field, B, 0).ok
+        outcomes.add(ok)
+        if ok:
+            L, _ = construct_lift(inst, field, 0, B, outer)
+            assert np.array_equal(L, B)
+            continue
+        with pytest.raises(NotAnIndexCode) as exc:
+            construct_lift(inst, field, 0, B, outer)
+        # the named z is confusable for the named receiver and z B = 0
+        i, z = re.search(r"receiver (\d+), z = \[(.*)\]",
+                         str(exc.value)).groups()
+        i, z = int(i), np.array([int(v) for v in z.split(", ")])
+        assert z[inst.f[i]] == 1 and not z[sorted(inst.X[i])].any()
+        assert not field.matmul(z[None, :], B).any()
+    assert outcomes == {True, False}
+
+
+def test_construct_lift_checks_large_fields_without_enumerating():
+    # 255^4 + ... confusable vectors over GF(256), far past every stream
+    # cap; the core check is one linear solve per receiver
+    F256 = make_field(256)
+    inst = make_instance(4, range(4), [set()] * 4)
+    L, w, entry = construct_concat(inst, F256, 1)
+    assert np.array_equal(w.L, np.eye(4, dtype=np.int64))
+    assert L.shape == (4, 6) and entry.N == 6
+    lifted, _ = construct_lift(inst, F256, 1, w.L)
+    # the identity core lifts to the outer generator itself
+    assert np.array_equal(L, lifted) and np.array_equal(L, entry.generator)
+    B = np.eye(4, dtype=np.int64)
+    B[3] = B[2]      # receiver 2 confuses x_2 with x_3: z = e_2 + e_3
+    with pytest.raises(NotAnIndexCode,
+                       match=r"receiver 2, z = \[0, 0, 1, 1\]"):
+        construct_lift(inst, F256, 1, B)
+
+
+def test_construct_concat_is_the_lift_of_the_min_rank_core():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        q = int(rng.choice([2, 3, 4, 5]))
+        field = make_field(q)
+        inst = random_instance(rng, n_hi=4)
+        delta = int(rng.integers(0, 3))
+        L, w, entry = construct_concat(inst, field, delta)
+        lifted, lift_entry = construct_lift(inst, field, delta, w.L)
+        assert np.array_equal(L, lifted)
+        assert (entry.N, entry.provenance) == (lift_entry.N,
+                                               lift_entry.provenance)
+        assert verify(inst, field, L, delta).ok
 
 
 def test_construct_random_succeeds_and_is_deterministic(F2, k3):

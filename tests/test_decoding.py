@@ -108,6 +108,13 @@ def test_min_weight_coset_solution_radius_exceeded(F2):
         min_weight_coset_solution(F2, H, np.array([1, 1, 1]), 1)
 
 
+def test_min_weight_coset_solution_rejects_wrong_syndrome_length(F2):
+    # a length-1 syndrome must not be broadcast against all three rows
+    with pytest.raises(ValueError):
+        min_weight_coset_solution(F2, np.eye(3, dtype=np.int64),
+                                  np.array([1]), 3)
+
+
 def test_min_weight_coset_solution_budget(F2):
     H = np.eye(8, dtype=np.int64)
     with pytest.raises(BudgetExceeded):

@@ -4,6 +4,8 @@ Oracle values are hand-derived (frozen tables, enumeration oracles) so the
 implementation is checked against independent computations, not itself.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from indexcode.fields import (
     sparse_blocks,
     sparse_vectors,
     sphere_volume,
+    support_vectors,
     weight,
 )
 
@@ -272,14 +275,38 @@ def test_span_matrix_order_and_contents():
 
 
 def test_sparse_vectors_order_and_count():
-    got = [tuple(int(x) for x in v) for v in sparse_vectors(3, 3, 2)]
-    assert len(got) == sphere_volume(3, 3, 2) == 19
+    Z = sparse_vectors(3, 3, 2)
+    assert Z.dtype == np.int64 and Z.shape == (sphere_volume(3, 3, 2), 3)
+    got = [tuple(v) for v in Z.tolist()]
+    assert len(got) == 19
     # zero, then weight 1 by support, then support (0, 1), last value fastest
     assert got[:7] == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0),
                        (0, 0, 1), (0, 0, 2)]
     assert got[7:11] == [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 2, 0)]
-    assert list(sparse_vectors(3, 3, -1)) == []
+    assert sparse_vectors(3, 3, -1).shape == (0, 3)
     assert len({tuple(v) for v in sparse_vectors(3, 3, 5)}) == 27
+
+
+def _odometer(q, k, support):
+    """Vectors with exactly this support: values ascending, last fastest."""
+    out = []
+    for vals in itertools.product(range(1, q), repeat=len(support)):
+        z = [0] * k
+        for pos, v in zip(support, vals):
+            z[pos] = v
+        out.append(z)
+    return out
+
+
+def test_support_vectors_match_an_odometer():
+    for q in (2, 3, 4, 5):
+        for k in range(5):
+            for w in range(k + 1):
+                for support in itertools.combinations(range(k), w):
+                    got = support_vectors(q, k, support)
+                    assert got.dtype == np.int64
+                    assert got.shape == ((q - 1) ** w, k)
+                    assert got.tolist() == _odometer(q, k, support)
 
 
 def test_sparse_blocks_follow_sparse_vectors():
@@ -290,7 +317,7 @@ def test_sparse_blocks_follow_sparse_vectors():
         assert all(len(b) == size for b in blocks[:-1])
         flat = np.concatenate(blocks)
         assert flat.shape == (sphere_volume(q, k, r), k)
-        assert np.array_equal(flat, np.array(list(sparse_vectors(q, k, r))))
+        assert np.array_equal(flat, sparse_vectors(q, k, r))
     assert list(sparse_blocks(3, 3, -1, 5)) == []
 
 

@@ -111,6 +111,43 @@ def test_verify_rho_delta_distance_three_pair(F2):
     assert not ok and weight(wit[1]) == 2       # their sum weighs 2
 
 
+def _first_failing_combination(field, L, rho, need):
+    """Brute force in (size, lex, leading coefficient 1, last position
+    fastest) order."""
+    n = L.shape[0]
+    for size in range(1, rho + 1):
+        for supp in itertools.combinations(range(n), size):
+            for tail in itertools.product(range(1, field.q), repeat=size - 1):
+                z = np.zeros(n, dtype=np.int64)
+                z[list(supp)] = (1,) + tail
+                c = np.array([field.dot(z, col) for col in L.T],
+                             dtype=np.int64)
+                if weight(c) < need:
+                    return z, c
+    return None
+
+
+def test_verify_rho_delta_witness_is_the_first_failing_vector():
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for q in (2, 3, 4):
+        field = make_field(q)
+        for _ in range(40):
+            n, N = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            L = rng.integers(0, q, size=(n, N))
+            rho, delta = int(rng.integers(1, n + 1)), int(rng.integers(0, 3))
+            ok, wit = verify_rho_delta(field, L, rho, delta)
+            want = _first_failing_combination(field, L, rho, 2 * delta + 1)
+            outcomes.add((q, ok))
+            if want is None:
+                assert ok and wit is None
+            else:
+                assert not ok
+                assert np.array_equal(wit[0], want[0])
+                assert np.array_equal(wit[1], want[1])
+    assert len(outcomes) == 6   # both outcomes on every field
+
+
 def test_verify_rho_delta_budget_counts_scanned_vectors():
     # over GF(4) the scan fixes the leading coefficient to 1: of the
     # sphere_volume(4, 5, 2) - 1 = 105 nonzero coefficient vectors of
@@ -373,6 +410,8 @@ def test_gv_greedy_validation():
         gv_greedy(3, 0, 1, 2, 4)
     with pytest.raises(ValueError):
         gv_greedy(3, 2, 1, 2, 4, order="sorted")
+    with pytest.raises(ValueError, match="needs a seed"):
+        gv_greedy(4, 2, 1, 2, 7, order="seeded")
 
 
 # ---------------------------------------------------------------------------
