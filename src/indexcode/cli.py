@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -385,7 +386,10 @@ def _common():
     return c
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: every `main` call
+    parses into a fresh namespace, so reusing it carries no state."""
     common = _common()
     p = argparse.ArgumentParser(
         prog="indexcode",
@@ -422,11 +426,12 @@ def build_parser():
     c.add_argument("--instance", required=True)
     c.add_argument("--delta", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--max-n", type=int, dest="max_n", default=None,
+    c.add_argument("--max-n", type=_int_at_least(1), dest="max_n",
+                   default=None,
                    help="length to sample at (random) / search ceiling (search)")
     c.add_argument("--core", default=None,
                    help="matrix file with the rows to lift (lift only)")
-    c.add_argument("--attempts", type=int, default=1000,
+    c.add_argument("--attempts", type=_int_at_least(1), default=1000,
                    help="samples before giving up (random only)")
     c.add_argument("--out", default=None, help="write the matrix to this file")
     c.add_argument("--certificate", default=None,
@@ -502,7 +507,8 @@ def build_parser():
     n.add_argument("--d", type=int, required=True)
     n.add_argument("--mode", choices=("auto", "table", "search"),
                    default="auto")
-    n.add_argument("--max-n", type=int, dest="max_n", default=None)
+    n.add_argument("--max-n", type=_int_at_least(1), dest="max_n",
+                   default=None)
     n.set_defaults(func=cmd_nqkd)
 
     return p

@@ -228,7 +228,10 @@ def min_rank(inst, field, node_budget=5_000_000):
             failed.add(key)
             return None
 
-        return dfs(0, np.zeros((0, n), dtype=np.int64), ())
+        try:
+            return dfs(0, np.zeros((0, n), dtype=np.int64), ())
+        finally:
+            del dfs  # dfs names itself through a cell: free the memo now
 
     natural = list(range(m))
     try:

@@ -150,7 +150,10 @@ def generalized_independence_number(inst):
             if ok:
                 extend(H + [v], cands[idx + 1:])
 
-    extend([], roots)
+    try:
+        extend([], roots)
+    finally:
+        del extend  # extend names itself through a cell: break the cycle now
     return best[0], best[1]
 
 

@@ -141,14 +141,17 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
 
     levels = [full_mask] * d
     tight = full_mask if n <= d else 0
-    for t in first_types:
-        m = masks[t] & full_mask
-        if not m or tight & ~m:
-            continue
-        sub = dfs(hit(levels, m), d * nz - m.bit_count(), n - 1, t)
-        if sub is not None:
-            return (t,) + sub, nodes
-    return None, nodes
+    try:
+        for t in first_types:
+            m = masks[t] & full_mask
+            if not m or tight & ~m:
+                continue
+            sub = dfs(hit(levels, m), d * nz - m.bit_count(), n - 1, t)
+            if sub is not None:
+                return (t,) + sub, nodes
+        return None, nodes
+    finally:
+        del dfs  # dfs names itself through a cell: break the cycle now
 
 
 def _worker(args):

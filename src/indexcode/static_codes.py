@@ -175,9 +175,11 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
             chosen.pop()
         return False
 
-    if extend(0, 0):
-        return np.stack(chosen, axis=1)
-    return None
+    try:
+        found = extend(0, 0)
+    finally:
+        del extend  # extend names itself through a cell: break the cycle now
+    return np.stack(chosen, axis=1) if found else None
 
 
 def _rho_star_details(n, rho, q, mode="auto", budget=PARITY_NODE_BUDGET):

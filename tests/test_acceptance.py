@@ -6,6 +6,7 @@ suite; the two marked slow are still well inside their budgets on a
 laptop-class machine.
 """
 
+import gc
 import itertools
 import time
 
@@ -23,10 +24,12 @@ from indexcode.codes import (
     verify,
 )
 from indexcode.decoding import Decoder, transmit
+from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field, weight
 from indexcode.instances import generalized_independence_number
 from indexcode.static_codes import (
     canonical_instance,
+    find_parity_check,
     gv_greedy,
     gv_inequality,
     static_bounds,
@@ -255,3 +258,40 @@ def test_alpha_equals_graph_independence_when_symmetric():
         alpha, wit = generalized_independence_number(inst)
         assert alpha == graph_alpha(side_info_graph(inst))
         assert len(wit) == alpha
+
+
+def _budget_stop(call):
+    try:
+        call()
+    except BudgetExceeded:
+        pass
+
+
+# every recursive exact search, on a full run and on a budget stop
+EXACT_SEARCHES = {
+    "min_rank": lambda F2, pent: min_rank(pent, F2),
+    "min_rank_budget_stop": lambda F2, pent: min_rank(pent, F2,
+                                                      node_budget=5),
+    "generalized_independence_number":
+        lambda F2, pent: generalized_independence_number(pent),
+    "min_length_search": lambda F2, pent: nq_kd(2, 3, 3, mode="search"),
+    "min_length_search_budget_stop": lambda F2, pent: _budget_stop(
+        lambda: nq_kd(2, 4, 5, mode="search", budget=100)),
+    "find_parity_check": lambda F2, pent: find_parity_check(F2, 5, 3, 6),
+    "find_parity_check_none": lambda F2, pent: find_parity_check(F2, 6, 3, 3),
+    "find_parity_check_budget_stop": lambda F2, pent: _budget_stop(
+        lambda: find_parity_check(F2, 6, 3, 4, budget=10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SEARCHES))
+def test_exact_searches_leave_no_cyclic_garbage(F2, pentagon, name):
+    # a search that leaves a reference cycle keeps its memo tables alive
+    # until the next full collection, so memory grows with the queries run
+    gc.collect()
+    gc.disable()
+    try:
+        EXACT_SEARCHES[name](F2, pentagon)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from indexcode.cli import BUDGET, FAIL, OK, USAGE, main
+from indexcode.cli import BUDGET, FAIL, OK, USAGE, build_parser, main
 from indexcode.decoding import save_received, transmit
 from indexcode.fields import load_matrix, save_matrix
 from indexcode.instances import save_instance
@@ -314,6 +316,12 @@ def test_argparse_usage_error_raises_systemexit(files):
     ["minrank", "--workers", "0"],
     ["verify", "--matrix", "k3L", "--delta", "0", "--workers", "0"],
     ["construct", "search", "--delta", "1", "--workers", "-2"],
+    # counts below 1 used to run and report a false verdict: ok: False,
+    # an empty refutation map, or a budget stop
+    ["construct", "random", "--delta", "1", "--attempts", "-2"],
+    ["construct", "random", "--delta", "1", "--attempts", "0"],
+    ["construct", "search", "--delta", "1", "--max-n", "-1"],
+    ["nqkd", "--q", "2", "--k", "3", "--d", "3", "--max-n", "-1"],
 ])
 def test_negative_budget_and_nonpositive_workers_are_usage_errors(
         files, capsys, argv):
@@ -335,3 +343,34 @@ def test_zero_budget_is_a_budget_stop(files, capsys):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == USAGE
     assert "verify" in capsys.readouterr().out
+
+
+def test_reused_parser_keeps_no_state_between_calls(files, capsys):
+    assert build_parser() is build_parser()
+
+    random = ["construct", "random", "--instance", files["k3"],
+              "--delta", "1", "--max-n", "6", "--format", "json"]
+    outs = []
+    for extra in (["--seed", "3"], [], ["--seed", "0"]):
+        assert main(random + extra) == OK
+        outs.append(json.loads(capsys.readouterr().out)["L"])
+    assert outs[1] == outs[2] != outs[0]
+
+    minrank = ["minrank", "--instance", files["k3"], "--format", "json"]
+    assert main(minrank + ["--budget", "0"]) == BUDGET
+    assert json.loads(capsys.readouterr().out)["certified"] is False
+    assert main(minrank) == OK
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--delta", "1"])
+    assert exc.value.code == USAGE
+    assert main(minrank) == OK
+    capsys.readouterr()
+
+    # help goes to the stdout of the call, not the one at first build
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([]) == USAGE
+        assert "verify" in buf.getvalue()
