@@ -22,12 +22,18 @@ an ascending-length scan:
 
 Deficits are stored bit-sliced: targets are bit positions, and levels[k] is
 the set of targets still short of k+1 hits, so levels[0] is the deficient
-set and levels[k+1] is a subset of levels[k].  Hitting the deficient targets
-m of a column is levels[k] = (levels[k] & ~m) | (levels[k+1] & m), a few
-int operations whatever the number of targets.  Every node keeps each
-deficit <= remaining, so a child's worst deficit reaches remaining exactly
-when levels[remaining-1] has a target outside m.  reach[t] is the union of
-the masks of types t, t+1, ...; the union rule reads reach[t_min].
+set, levels[k+1] is a subset of levels[k], and a trailing 0 closes the list.
+Hitting the deficient targets m of a column is levels[k] = (levels[k] & ~m)
+| (levels[k+1] & m), a few int operations whatever the number of targets.
+Every node keeps each deficit <= remaining, so a child's worst deficit
+reaches remaining exactly when levels[remaining-1] has a target outside m.
+reach[t] is the union of the masks of types t, t+1, ...; a child that took
+type t passes the union rule when reach[t] covers its deficient set.
+
+A parent runs each child's entry tests in its own loop (solved, no slots
+left, union rule on the child's levels[0], coverage rule) and builds the
+child's other levels and a frame only for a child that passes them all.
+A child counts as a node, and meets the budget, when it is tested.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,69 +100,56 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
     recursion below the first level is unrestricted (>= chosen type).
     """
     T = len(masks)
-    full_mask = (1 << nz) - 1
     reach = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
         reach[t] = reach[t + 1] | masks[t]
     nodes = 0
 
-    def hit(levels, m):
-        # every target in m loses one unit of deficit
-        nm = ~m
-        return [(levels[k] & nm) | (levels[k + 1] & m)
-                for k in range(d - 1)] + [levels[-1] & nm]
-
-    def dfs(levels, def_sum, remaining, t_min):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"search budget {budget} exhausted")
-        if def_sum == 0:
-            return ()
-        if remaining == 0:
-            return None
-        def_mask = levels[0]
-        if reach[t_min] & def_mask != def_mask:
-            return None
-        cands = []
-        maxcov = 0
-        for t in range(t_min, T):
-            m = masks[t] & def_mask
-            if m:
-                cov = m.bit_count()
-                cands.append((t, m, cov))
-                if cov > maxcov:
-                    maxcov = cov
-        if def_sum > remaining * maxcov:
-            return None
-        # no deficit exceeds remaining: a child is dead exactly when a
-        # target short of `remaining` hits is outside m
-        tight = levels[remaining - 1] if remaining <= d else 0
+    def dfs(levels, def_sum, remaining, cands):
+        nonlocal nodes  # cands: this node's children (type, hit set, size)
+        tight = levels[remaining - 1] if remaining <= d else 0  # m must cover
+        remaining -= 1
         for t, m, cov in cands:
             if tight & ~m:
                 continue
-            sub = dfs(hit(levels, m), def_sum - cov, remaining - 1, t)
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"search budget {budget} exhausted")
+            sub_sum = def_sum - cov
+            if sub_sum == 0:
+                return (t,)
+            if remaining == 0:
+                continue
+            nm = ~m
+            def_mask = (levels[0] & nm) | (levels[1] & m)
+            if reach[t] & def_mask != def_mask:
+                continue
+            sub_cands = []
+            maxcov = 0
+            for u in range(t, T):
+                mu = masks[u] & def_mask
+                if mu:
+                    c = mu.bit_count()
+                    sub_cands.append((u, mu, c))
+                    if c > maxcov:
+                        maxcov = c
+            if sub_sum > remaining * maxcov:
+                continue
+            sub_levels = [def_mask]
+            for k in range(1, d):
+                sub_levels.append((levels[k] & nm) | (levels[k + 1] & m))
+            sub_levels.append(0)
+            sub = dfs(sub_levels, sub_sum, remaining, sub_cands)
             if sub is not None:
                 return (t,) + sub
         return None
 
-    levels = [full_mask] * d
-    tight = full_mask if n <= d else 0
+    cands = [(t, masks[t], masks[t].bit_count())
+             for t in first_types if masks[t]]
     try:
-        for t in first_types:
-            m = masks[t] & full_mask
-            if not m or tight & ~m:
-                continue
-            sub = dfs(hit(levels, m), d * nz - m.bit_count(), n - 1, t)
-            if sub is not None:
-                return (t,) + sub, nodes
-        return None, nodes
+        return dfs([(1 << nz) - 1] * d + [0], d * nz, n, cands), nodes
     finally:
         del dfs  # dfs names itself through a cell: break the cycle now
-
-
-def _worker(args):
-    return _search_fixed_n(*args)
 
 
 def min_length_search(field, columns, targets, d, n_max,
@@ -166,6 +160,10 @@ def min_length_search(field, columns, targets, d, n_max,
     targets: the vectors that must each be hit at least d times (d >= 1).
     With workers > 1 one process pool serves the whole scan; each length
     splits the first column's type round-robin over the workers.
+
+    budget caps the nodes of each length (of each worker's share when
+    workers > 1), not of the scan.  A stop raises BudgetExceeded with
+    refuted (length -> nodes) for the lengths exhausted before it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -177,19 +175,21 @@ def min_length_search(field, columns, targets, d, n_max,
     total_nodes = 0
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
+        run = map if pool is None else pool.map
         for n in range(d, n_max + 1):
-            if pool is not None:
-                results = list(pool.map(
-                    _worker, [(masks, nz, d, n, chunk, budget)
-                              for chunk in chunks]))
-                sols = [s for s, _ in results if s is not None]
-                n_nodes = sum(nn for _, nn in results)
-                sol = min(sols) if sols else None
-            else:
-                sol, n_nodes = _search_fixed_n(masks, nz, d, n,
-                                               range(len(masks)), budget)
+            search = partial(_search_fixed_n, masks, nz, d, n, budget=budget)
+            try:
+                results = list(run(search, chunks))
+            except BudgetExceeded as exc:  # re-raised bare: binds no cycle
+                exc.refuted = refuted
+                exc.args = (f"{exc} at length {n}; lengths refuted before "
+                            f"the stop: {sorted(refuted)}",)
+                raise
+            sols = [s for s, _ in results if s is not None]
+            n_nodes = sum(nn for _, nn in results)
             total_nodes += n_nodes
-            if sol is not None:
-                return MinLengthResult(n, sol, total_nodes, refuted, True)
+            if sols:
+                return MinLengthResult(n, min(sols), total_nodes, refuted,
+                                       True)
             refuted[n] = n_nodes
     return MinLengthResult(None, None, total_nodes, refuted, True)

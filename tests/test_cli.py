@@ -14,18 +14,20 @@ from indexcode.instances import save_instance
 
 
 @pytest.fixture()
-def files(tmp_path, F2, k3, k3_L, ring5):
+def files(tmp_path, F2, k3, k3_L, ring5, pentagon):
     """Write the golden fixtures to disk the way a user would."""
     paths = {
         "k3": tmp_path / "k3.json",
         "k3L": tmp_path / "k3L.txt",
         "ring5": tmp_path / "ring5.json",
+        "pentagon": tmp_path / "pentagon.json",
         "recv": tmp_path / "recv.txt",
         "tmp": tmp_path,
     }
     save_instance(paths["k3"], k3, F2)
     save_matrix(paths["k3L"], F2, k3_L)
     save_instance(paths["ring5"], ring5, F2)
+    save_instance(paths["pentagon"], pentagon, F2)
     view = transmit(k3, F2, k3_L, np.array([1, 0, 1]),
                     np.array([1, 0, 0, 0]), 0)
     save_received(paths["recv"], F2, view)
@@ -143,6 +145,15 @@ def test_construct_search_not_found_is_fail(files, capsys):
 def test_construct_search_budget_exit(files, capsys):
     assert main(["construct", "search", "--instance", files["ring5"],
                  "--delta", "2", "--max-n", "8", "--budget", "50"]) == BUDGET
+
+
+def test_construct_search_budget_stop_names_refuted_lengths(files, capsys):
+    # the pentagon at delta=2 refutes N=5,6,7 in 0, 31, 31 nodes; N=8 needs
+    # 10,688, so a budget of 100 nodes per length stops there
+    assert main(["construct", "search", "--instance", files["pentagon"],
+                 "--delta", "2", "--budget", "100"]) == BUDGET
+    err = capsys.readouterr().err
+    assert "at length 8" in err and "[5, 6, 7]" in err
 
 
 # ---------------------------------------------------------------------------

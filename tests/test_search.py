@@ -7,6 +7,7 @@ import pytest
 
 from indexcode.bounds import nq_kd
 from indexcode.codes import min_rank, search_min_length
+from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field
 from indexcode.search import min_length_search, projective_reps
 from indexcode.static_codes import static_bounds
@@ -35,6 +36,29 @@ def test_golden_table_work():
     assert (rep.alpha_entry.nodes, rep.upper_entry.nodes) == (505, 165_262)
 
 
+@pytest.mark.slow
+def test_budget_counts_the_nodes_of_one_length():
+    # N=10 is refuted in exactly 40,236 nodes: a budget of that many passes
+    # every length, one node fewer stops at N=10 with N<=9 already refuted
+    e = nq_kd(2, 4, 5, mode="search", budget=40_236)
+    assert (e.N, e.refuted) == (11, {5: 0, 6: 15, 7: 15, 8: 15, 9: 15,
+                                     10: 40_236})
+    with pytest.raises(BudgetExceeded, match=r"at length 10") as stop:
+        nq_kd(2, 4, 5, mode="search", budget=40_235)
+    assert stop.value.refuted == {5: 0, 6: 15, 7: 15, 8: 15, 9: 15}
+
+
+@pytest.mark.slow
+def test_worker_count_changes_no_answer():
+    # a solving length searches every worker's share to the end, so only
+    # the total work may differ
+    one = nq_kd(2, 4, 5, mode="search", workers=1)
+    two = nq_kd(2, 4, 5, mode="search", workers=2)
+    assert (two.N, two.refuted) == (one.N, one.refuted)
+    assert np.array_equal(two.generator, one.generator)
+    assert (one.nodes, two.nodes) == (65_515, 83_150)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
@@ -53,12 +77,22 @@ def _first_multiset(q, columns, targets, d, n):
     return None
 
 
+# node count of each random case: a kernel rewrite must keep every tree
+BRUTE_FORCE_NODES = {
+    (2, 3): [2, 1, 13, 2, 1, 3, 2, 1, 2, 3, 3, 3, 1, 3, 2, 7, 1, 50, 0, 2, 2,
+             0, 12, 57, 2],
+    (3, 2): [4, 3, 2, 2, 2, 2, 2, 4, 3, 0, 4, 3, 1, 2, 3, 1, 1, 3, 0, 2, 2, 3,
+             0, 1, 3],
+}
+
+
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2)])
 def test_min_length_search_matches_brute_force(q, k):
     field = make_field(q)
     columns = projective_reps(field, k)
     vectors = list(itertools.product(range(q), repeat=k))[1:]
     rng = np.random.default_rng(10 * q + k)
+    nodes = []
     for _ in range(25):
         size = int(rng.integers(1, len(vectors) + 1))
         targets = [vectors[i] for i in sorted(
@@ -66,6 +100,7 @@ def test_min_length_search_matches_brute_force(q, k):
         d = int(rng.integers(1, 4))
         n_max = int(rng.integers(d, 7))
         res = min_length_search(field, columns, targets, d, n_max)
+        nodes.append(res.nodes)
         stop = n_max + 1 if res.n_opt is None else res.n_opt
         assert set(res.refuted) == set(range(d, stop))
         for n in res.refuted:
@@ -73,6 +108,7 @@ def test_min_length_search_matches_brute_force(q, k):
         if res.n_opt is not None:
             assert res.solution == _first_multiset(q, columns, targets, d,
                                                    res.n_opt)
+    assert nodes == BRUTE_FORCE_NODES[q, k]
 
 
 def test_search_rejects_bad_counts(F2, pentagon):
