@@ -18,7 +18,6 @@ minimum-length search with certificates.
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from .fields import (all_combinations, check_matrix, matrix_from_text,
                      matrix_to_text, rref, solve_one, sphere_volume, weight)
 from .instances import instance_hash, iter_I, y_set
-from .search import min_length_search, normalize_projective, projective_reps
+from .search import min_length_search, projective_index, projective_reps
 
 VERIFY_SPAN_CAP = 2**18
 # candidate rows a min_rank node reduces in one step; a receiver with more
@@ -154,11 +153,18 @@ def min_rank(inst, field, node_budget=5_000_000):
 
     Each receiver's q^|X_i| candidate rows are tried in one order (the
     coefficient of the last element of sorted X_i cycles fastest).  The row
-    space is kept in reduced row echelon form R with pivot columns piv, so
-    a node reduces a whole block of candidates C in one step,
-    C - C[:, piv] R, and the rows left zero are free.  A block is all the
-    candidates when there are at most MIN_RANK_BLOCK of them, built once;
-    otherwise the slowest coefficients fix one block each.
+    space is carried as its n x n projection P, which maps a row v to its
+    residual against the space: v less the combination of the basis rows
+    that clears v at the pivot columns of the space's reduced row echelon
+    form.  P = I at the root.  A node reduces a whole block of candidates C
+    in one step, C P, and the rows left zero are free.  Extending the space
+    by a residual r whose first nonzero is at p is the rank-1 update
+    P - P[:, p] (x) r / r[p].  The residual of a row is unique, so P is as
+    canonical for the space as its reduced row echelon form, and the memo
+    key (depth, P) splits the states exactly as (depth, rref) would: the
+    memo hits, the nodes and the result do not depend on the choice.  A
+    block is all the candidates when there are at most MIN_RANK_BLOCK of
+    them, built once; otherwise the slowest coefficients fix one block each.
 
     node_budget caps the DFS nodes: one global count summed over every
     target rank and both passes.  When it runs out the result is the
@@ -190,46 +196,42 @@ def min_rank(inst, field, node_budget=5_000_000):
                 block, C[:, col] = divmod(block, q)
             yield C
 
-    def extend(R, piv, res):
-        """RREF and pivots of the span of R plus the residual row res."""
+    def extend(P, res):
+        """Projection for the span of P's space plus the residual res."""
         p = int((res != 0).argmax())
         row = field.scale(field.inv(int(res[p])), res)
-        R = field.sub_arr(R, field.mul_arr(R[:, p:p + 1], row[None, :]))
-        at = bisect(piv, p)
-        return (np.concatenate((R[:at], row[None, :], R[at:])),
-                piv[:at] + (p,) + piv[at:])
+        return field.sub_arr(P, field.mul_arr(P[:, p:p + 1], row[None, :]))
 
     def decide(k, rec_order):
         """Rows completing rec_order with rank <= k, or None."""
         failed = set()
 
-        def dfs(dpt, R, piv):
+        def dfs(dpt, P, rk):
             if dpt == m:
                 return []
             nodes[0] += 1
             if nodes[0] > node_budget:
                 raise _Budget
-            key = (dpt, R.tobytes())
+            key = (dpt, P.tobytes())
             if key in failed:
                 return None
             for C in candidates(rec_order[dpt]):
-                res = field.sub_arr(C, field.matmul(C[:, list(piv)], R)) \
-                    if piv else C
+                res = field.matmul(C, P) if rk else C
                 raises = res.any(axis=1).tolist()
-                tries = range(len(C)) if len(piv) < k else \
+                tries = range(len(C)) if rk < k else \
                     [code for code, up in enumerate(raises) if not up]
                 for code in tries:
                     if raises[code]:
-                        sub = dfs(dpt + 1, *extend(R, piv, res[code]))
+                        sub = dfs(dpt + 1, extend(P, res[code]), rk + 1)
                     else:
-                        sub = dfs(dpt + 1, R, piv)
+                        sub = dfs(dpt + 1, P, rk)
                     if sub is not None:
                         return [C[code]] + sub
             failed.add(key)
             return None
 
         try:
-            return dfs(0, np.zeros((0, n), dtype=np.int64), ())
+            return dfs(0, np.eye(n, dtype=np.int64), 0)
         finally:
             del dfs  # dfs names itself through a cell: free the memo now
 
@@ -382,9 +384,11 @@ def search_min_length(inst, field, delta, n_max, workers=1, budget=50_000_000):
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    targets = sorted({normalize_projective(field, z)
-                      for z in iter_I(inst, field)})
     columns = projective_reps(field, inst.n)
+    Z = np.fromiter(iter_I(inst, field), dtype=np.dtype((np.int64, inst.n)))
+    # columns are in lex order, so sorted indices give sorted targets
+    index = set(projective_index(field, Z).tolist())
+    targets = [columns[t] for t in sorted(index)]
     res = min_length_search(field, columns, targets, 2 * delta + 1, n_max,
                             workers=workers, budget=budget)
     L = None

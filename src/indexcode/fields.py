@@ -5,6 +5,11 @@ itself.  For an extension field GF(p^e) an element is a polynomial over F_p in
 a fixed irreducible modulus; its code is the base-p expansion of the
 coefficient tuple with the constant term as the least significant digit.
 
+In characteristic 2 those codes are the coefficient bitmasks, so addition
+and subtraction are XOR on the codes; odd-characteristic extensions add and
+negate through q x q tables, and every extension multiplies through one.
+Each field keeps a table of inverses.
+
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
 takes the Field explicitly.  This module owns the enumeration orders
 (solution sweeps, all_combinations of rows, support_vectors per support and
@@ -169,14 +174,17 @@ class Field:
         self.p = p
         self.e = e
         self.q = q
+        # characteristic-2 extensions add by XOR; odd ones through _add
+        self._xor = p == 2 and e > 1
+        self._add = None
+        self._neg = None
+        self._mul = None
         if e == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
             self.modulus = None
-            self._add = None
-            self._mul = None
-            self._neg = None
-            self._inv = None
+            self._inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)],
+                                 dtype=np.int64)
         else:
             if q > TABLE_CAP:
                 raise ValueError(
@@ -198,38 +206,38 @@ class Field:
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         polys = [_digits(c, p, e) for c in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         for a in range(q):
-            pa = polys[a]
+            pa = _poly_trim(polys[a])
             for b in range(a, q):
-                pb = polys[b]
-                s = tuple((x + y) % p for x, y in zip(pa, pb))
-                add[a, b] = add[b, a] = _code(s, p)
-                m = _poly_mod(_poly_mul(_poly_trim(pa), _poly_trim(pb), p),
+                m = _poly_mod(_poly_mul(pa, _poly_trim(polys[b]), p),
                               self.modulus, p)
                 mul[a, b] = mul[b, a] = _code(m + (0,) * (e - len(m)), p)
-        self._add = add
         self._mul = mul
-        self._neg = add[0].copy()
-        for a in range(q):
-            self._neg[a] = int(np.where(add[a] == 0)[0][0])
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.where(mul[a] == 1)[0]
-            inv[a] = int(hits[0])
-        self._inv = inv
+        self._inv = np.argmax(mul == 1, axis=1)   # row 0 has no 1: gives 0
+        if not self._xor:
+            add = np.zeros((q, q), dtype=np.int64)
+            for a in range(q):
+                for b in range(a, q):
+                    s = tuple((x + y) % p for x, y in zip(polys[a], polys[b]))
+                    add[a, b] = add[b, a] = _code(s, p)
+            self._add = add
+            self._neg = np.argmax(add == 0, axis=1)
 
     # -- scalar ops --------------------------------------------------------
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
+        if self._xor:
+            return int(a ^ b)
         return int(self._add[a, b])
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
+        if self._xor:
+            return int(a)
         return int(self._neg[a])
 
     def sub(self, a, b):
@@ -241,10 +249,10 @@ class Field:
         return int(self._mul[a, b])
 
     def inv(self, a):
+        if not 0 <= a < self.q:
+            raise ValueError(f"{a} is not an element code of GF({self.q})")
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         return int(self._inv[a])
 
     # -- vectorized ops on int64 arrays of codes ---------------------------
@@ -252,17 +260,25 @@ class Field:
     def add_arr(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
+        if self._xor:
+            return np.bitwise_xor(a, b)
         return self._add[a, b]
 
     def sub_arr(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
+        if self._xor:
+            return np.bitwise_xor(a, b)
         return self._add[a, self._neg[b]]
 
     def mul_arr(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
         return self._mul[a, b]
+
+    def inv_arr(self, a):
+        """Inverse of each code in a, with 0 mapped to 0."""
+        return self._inv[a]
 
     def scale(self, c, a):
         """c * a for scalar code c and array a."""
@@ -274,6 +290,8 @@ class Field:
         """Sum of codes along an axis."""
         if self.e == 1:
             return np.sum(m, axis=axis, dtype=np.int64) % self.p
+        if self._xor:
+            return np.bitwise_xor.reduce(m, axis=axis)
         m = np.moveaxis(m, axis, 0)
         while m.shape[0] > 1:
             k = m.shape[0]
@@ -346,28 +364,31 @@ def rref(field, A):
     """Reduced row echelon form.
 
     Returns (R, pivots); pivot columns ascend.  Pivot search scans columns
-    left to right and rows top down, so the result is canonical.
+    left to right and rows top down, so the result is canonical.  Each
+    pivot clears its column in one step, R - f (x) R[r] with f the pivot
+    column and f[r] = 0.
     """
-    R = check_matrix(field, A).copy()
+    R = check_matrix(field, A)
     rows, cols = R.shape
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    while r < min(rows, cols):
+        # rows r.. are zero left of the last pivot, so the first nonzero
+        # of R[r:] in column-major order is the next pivot
+        left = R[r:].T
+        at = int(np.argmax(left != 0))
+        c, pr = divmod(at, rows - r)
+        if not left[c, pr]:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
+        pr += r
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
         piv = int(R[r, c])
         if piv != 1:
             R[r] = field.scale(field.inv(piv), R[r])
-        others = np.nonzero(R[:, c])[0]
-        for i in others:
-            if i != r:
-                R[i] = field.sub_arr(R[i], field.scale(int(R[i, c]), R[r]))
+        f = R[:, c].copy()
+        f[r] = 0
+        R = field.sub_arr(R, field.mul_arr(f[:, None], R[r][None, :]))
         pivots.append(c)
         r += 1
     return R, pivots
@@ -377,6 +398,16 @@ def rank(field, A):
     return len(rref(field, A)[1])
 
 
+def _kernel_from_rref(field, R, pivots, cols):
+    """kernel_basis of a matrix whose first cols columns reduce to R."""
+    free = [c for c in range(cols) if c not in pivots]
+    out = np.zeros((len(free), cols), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = field.scale(field.neg(1),
+                                 R[:len(pivots)][:, free].T)
+    return out
+
+
 def kernel_basis(field, A):
     """Rows form the canonical basis of {x : A @ x = 0}.
 
@@ -384,15 +415,8 @@ def kernel_basis(field, A):
     the negated reduced coefficients at the pivot columns.
     """
     A = check_matrix(field, A)
-    cols = A.shape[1]
     R, pivots = rref(field, A)
-    free = [c for c in range(cols) if c not in pivots]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fcol in enumerate(free):
-        out[k, fcol] = 1
-        for r, pcol in enumerate(pivots):
-            out[k, pcol] = field.neg(int(R[r, fcol]))
-    return out
+    return _kernel_from_rref(field, R, pivots, A.shape[1])
 
 
 def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
@@ -401,7 +425,9 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
     Order: the free-variables-zero particular solution first, then an odometer
     over free-variable values in ascending column index (last free column
     cycles fastest), values in ascending code order.  Yields nothing when
-    inconsistent; exactly q**(cols - rank) solutions otherwise.
+    inconsistent; exactly q**(cols - rank) solutions otherwise.  One
+    elimination of [A | b] gives both: when it has no pivot in the rhs
+    column its first cols columns are the rref of A.
     """
     A = check_matrix(field, A)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
@@ -413,18 +439,19 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
     if cols in pivots:
         return  # inconsistent: pivot in the rhs column
     x0 = np.zeros(cols, dtype=np.int64)
-    for r, pcol in enumerate(pivots):
-        x0[pcol] = R[r, cols]
-    free = [c for c in range(cols) if c not in pivots]
-    ker = kernel_basis(field, A)
-    total = field.q ** len(free)
+    x0[pivots] = R[:len(pivots), cols]
+    nfree = cols - len(pivots)
+    total = field.q ** nfree
     if total > cap:
         raise SpanCapExceeded(
             f"solution family of size {total} exceeds cap {cap}")
-    for t in range(total):
+    yield x0.copy()
+    # built only when a caller asks for more than the first solution
+    ker = _kernel_from_rref(field, R, pivots, cols)
+    for t in range(1, total):
         x = x0.copy()
         tt = t
-        for k in range(len(free) - 1, -1, -1):
+        for k in range(nfree - 1, -1, -1):
             c = tt % field.q
             tt //= field.q
             if c:

@@ -59,14 +59,20 @@ def projective_reps(field, k):
     return out
 
 
-def normalize_projective(field, z):
-    """Scale z so its first nonzero coordinate is 1."""
-    z = np.asarray(z, dtype=np.int64)
-    nz = np.nonzero(z)[0]
-    if len(nz) == 0:
-        return tuple(int(v) for v in z)
-    c = field.inv(int(z[nz[0]]))
-    return tuple(int(v) for v in field.scale(c, z))
+def projective_index(field, V):
+    """Position in projective_reps(field, k) order of the representative of
+    each row of V (n x k, rows nonzero).  With s the row's first nonzero
+    position, the reps whose first nonzero sits after s come first, all
+    (q^(k-1-s) - 1) / (q - 1) of them; then the row, scaled to lead with 1,
+    counts in base q over the positions after s, the first of them most
+    significant."""
+    V = np.asarray(V, dtype=np.int64)
+    q, k = field.q, V.shape[1]
+    s = (V != 0).argmax(axis=1)
+    lead = V[np.arange(len(V)), s]
+    W = field.mul_arr(field.inv_arr(lead)[:, None], V)
+    top = q ** (k - 1 - s)               # the place value of W's leading 1
+    return (top - 1) // (q - 1) + W @ q ** np.arange(k - 1, -1, -1) - top
 
 
 def build_hits(field, columns, targets):

@@ -25,7 +25,7 @@ from .errors import BudgetExceeded
 from .fields import (check_matrix, make_field, rank, span_matrix,
                      sparse_vectors, sphere_volume, support_vectors)
 from .instances import Instance, make_instance
-from .search import normalize_projective, projective_reps
+from .search import projective_index, projective_reps
 
 COMBO_BUDGET = 2_000_000        # verify_rho_delta coefficient vectors with
                                 # leading coefficient 1 (the ones it scans)
@@ -145,8 +145,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
     span of every <= rho-1 chosen columns; a bitmask over the
     representatives tracks the columns lying in those spans.
     """
-    index = {r: t for t, r in enumerate(projective_reps(field, N))}
-    reps = [np.array(r, dtype=np.int64) for r in index]
+    reps = np.array(projective_reps(field, N), dtype=np.int64)
     nodes = 0
     chosen = []
 
@@ -167,8 +166,8 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
                 continue
             c = reps[idx]
             grown = forbidden
-            for v in field.add_arr(combos, c):
-                grown |= 1 << index[normalize_projective(field, v)]
+            for t in projective_index(field, field.add_arr(combos, c)).tolist():
+                grown |= 1 << t
             chosen.append(c)
             if extend(idx, grown):
                 return True

@@ -4,6 +4,7 @@ Oracle values are hand-derived (frozen tables, enumeration oracles) so the
 implementation is checked against independent computations, not itself.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -45,13 +46,26 @@ def _prime_powers_upto(limit):
 PRIME_POWERS_256 = _prime_powers_upto(256)
 
 
+def _coefficient_add(F):
+    """q x q addition table built digit by digit: an element's code is the
+    base-p expansion of its polynomial coefficients, and polynomials add
+    coefficientwise mod p."""
+    idx = np.arange(F.q, dtype=np.int64)
+    add = np.zeros((F.q, F.q), dtype=np.int64)
+    for d in range(F.e):
+        digit = idx // F.p ** d % F.p
+        add += (digit[:, None] + digit[None, :]) % F.p * F.p ** d
+    return add
+
+
 def _tables(F):
-    """Full add/mul tables as q x q arrays (built independently for primes)."""
+    """Full add/mul tables as q x q arrays (built independently for primes;
+    extension fields add coefficientwise and multiply by their table)."""
     q = F.q
     if F.e == 1:
         idx = np.arange(q, dtype=np.int64)
         return (idx[:, None] + idx[None, :]) % q, (idx[:, None] * idx[None, :]) % q
-    return F._add, F._mul
+    return _coefficient_add(F), F._mul
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +171,35 @@ def test_custom_modulus_accepted():
     # x^2+1 is irreducible over F_3
     F = Field(9, modulus=(1, 0, 1))
     assert F.mul(3, 3) == F.neg(1)  # x*x = -1
+
+
+@pytest.mark.parametrize("q", [2, 7, 4, 8, 9, 256])
+def test_inv_rejects_zero_and_codes_outside_the_field(q):
+    F = make_field(q)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    for a in (-1, q, q + 1):
+        with pytest.raises(ValueError):
+            F.inv(a)
+    assert [F.mul(a, F.inv(a)) for a in range(1, q)] == [1] * (q - 1)
+
+
+CHAR2_FIELDS = [(4, None), (8, None), (16, None), (256, None),
+                (16, (1, 0, 0, 1, 1))]   # x^4 + x^3 + 1, not the default
+
+
+@pytest.mark.parametrize("q, modulus", CHAR2_FIELDS)
+def test_char2_addition_matches_the_coefficient_tables(q, modulus):
+    """In characteristic 2 add, sub and neg are XOR on the codes; every
+    pair agrees with the coefficientwise table."""
+    F = make_field(q) if modulus is None else Field(q, modulus)
+    add = _coefficient_add(F)
+    neg = np.argmax(add == 0, axis=1)
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    assert np.array_equal(F.add_arr(a, b), add)
+    assert np.array_equal(F.sub_arr(a, b), add[a, neg[b]])
+    assert [[F.add(x, y) for y in range(q)] for x in range(q)] == add.tolist()
+    assert [F.neg(x) for x in range(q)] == neg.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +372,139 @@ def test_span_cap_enforced():
 
 
 def test_matmul_dot_against_scalar_loops():
+    """matmul and dot against a fold over the add and mul tables, inner
+    dimension 0 included."""
     rng = np.random.default_rng(31)
-    for q in (4, 9, 8):
+    for q in (2, 3, 4, 5, 8, 9, 16):
         F = make_field(q)
-        for _ in range(20):
-            A = rng.integers(0, q, size=(3, 4))
-            B = rng.integers(0, q, size=(4, 2))
-            C = F.matmul(A, B)
-            for i in range(3):
-                for j in range(2):
-                    acc = 0
-                    for k in range(4):
-                        acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
-                    assert C[i, j] == acc
-            u = rng.integers(0, q, size=5)
-            v = rng.integers(0, q, size=5)
-            acc = 0
-            for k in range(5):
-                acc = F.add(acc, F.mul(int(u[k]), int(v[k])))
-            assert F.dot(u, v) == acc
+        add, mul = _tables(F)
+        for inner in (0, 1, 4):
+            for _ in range(10):
+                A = rng.integers(0, q, size=(3, inner))
+                B = rng.integers(0, q, size=(inner, 2))
+                C = F.matmul(A, B)
+                assert C.dtype == np.int64 and C.shape == (3, 2)
+                for i in range(3):
+                    for j in range(2):
+                        acc = 0
+                        for k in range(inner):
+                            acc = add[acc, mul[A[i, k], B[k, j]]]
+                        assert C[i, j] == acc
+                u = A[0]
+                v = B[:, 0]
+                acc = 0
+                for k in range(inner):
+                    acc = add[acc, mul[u[k], v[k]]]
+                assert F.dot(u, v) == acc
+
+
+# ---------------------------------------------------------------------------
+# elimination against brute force over F_q^k
+# ---------------------------------------------------------------------------
+
+
+ORACLE_QS = (2, 3, 4, 5, 8, 9)
+
+
+def _all_vectors(q, k):
+    return np.array(list(itertools.product(range(q), repeat=k)),
+                    dtype=np.int64).reshape(-1, k)
+
+
+def _row_space(F, A):
+    """Every combination of the rows of A, as a set of tuples."""
+    combos = F.matmul(_all_vectors(F.q, A.shape[0]), A)
+    return {tuple(v) for v in combos.tolist()}
+
+
+def _oracle_cases(q, seed, count=25):
+    """Small random matrices, some with repeated or scaled rows so that
+    the rank falls short; shapes up to 3 x 4."""
+    rng = np.random.default_rng(seed)
+    F = make_field(q)
+    for _ in range(count):
+        A = rng.integers(0, q, size=(int(rng.integers(1, 4)),
+                                     int(rng.integers(1, 5))))
+        if len(A) > 1 and rng.integers(2):
+            A[-1] = F.scale(int(rng.integers(q)), A[0])
+        yield F, A
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_rref_meets_the_rref_conditions_and_keeps_the_row_space(q):
+    for F, A in _oracle_cases(q, seed=q):
+        R, piv = rref(F, A)
+        assert R.shape == A.shape and R.dtype == np.int64
+        assert list(piv) == sorted(set(piv))
+        assert not R[len(piv):].any()
+        for r, c in enumerate(piv):
+            assert not R[r, :c].any() and R[r, c] == 1
+            assert np.count_nonzero(R[:, c]) == 1
+        assert _row_space(F, R) == _row_space(F, A)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_kernel_basis_spans_exactly_the_null_space(q):
+    for F, A in _oracle_cases(q, seed=100 + q):
+        X = _all_vectors(q, A.shape[1])
+        null = {tuple(x) for x, y in zip(X.tolist(), F.matmul(X, A.T))
+                if not y.any()}
+        K = kernel_basis(F, A)
+        assert K.shape == (A.shape[1] - rank(F, A), A.shape[1])
+        got = _row_space(F, K) if len(K) else {(0,) * A.shape[1]}
+        assert got == null
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_solve_affine_yields_the_solution_set_in_order(q):
+    """Exactly the solutions, ordered by their free coordinates (first free
+    column slowest); nothing for an inconsistent system; a cap below the
+    family size refuses a consistent system only."""
+    rng = np.random.default_rng(200 + q)
+    for F, A in _oracle_cases(q, seed=300 + q):
+        X = _all_vectors(q, A.shape[1])
+        AX = F.matmul(X, A.T)
+        b = AX[int(rng.integers(len(X)))] if rng.integers(2) else \
+            rng.integers(0, q, size=A.shape[0])
+        sols = [x for x, y in zip(X.tolist(), AX.tolist()) if y == b.tolist()]
+        free = [c for c in range(A.shape[1]) if c not in rref(F, A)[1]]
+        sols.sort(key=lambda x: [x[c] for c in free])
+        assert [x.tolist() for x in solve_affine(F, A, b)] == sols
+        if sols:
+            with pytest.raises(SpanCapExceeded):
+                next(solve_affine(F, A, b, cap=len(sols) - 1))
+        else:
+            assert list(solve_affine(F, A, b, cap=0)) == []
+
+
+def test_linear_algebra_seeded_digest():
+    """rref, kernel_basis, solve_affine (or its cap refusal) and
+    span_matrix over 300 seeded matrices on GF(2)..GF(16).  The digest was
+    taken from the row-by-row elimination that solved every system twice."""
+    qs = (2, 3, 4, 5, 7, 8, 9, 16)
+    rng = np.random.default_rng(5)
+    h = hashlib.sha256()
+    for _ in range(300):
+        F = make_field(qs[int(rng.integers(len(qs)))])
+        A = rng.integers(0, F.q, size=(int(rng.integers(1, 6)),
+                                       int(rng.integers(1, 7))))
+        for j in range(1, len(A)):
+            if rng.integers(3) == 0:  # a dependent row now and then
+                A[j] = F.add_arr(A[j - 1], F.scale(int(rng.integers(F.q)),
+                                                   A[0]))
+        b = F.matvec(A, rng.integers(0, F.q, size=A.shape[1])) \
+            if rng.integers(4) else rng.integers(0, F.q, size=len(A))
+        R, piv = rref(F, A)
+        try:
+            sols = [x.tolist() for x in solve_affine(F, A, b, cap=64)]
+        except SpanCapExceeded:
+            sols = "cap"
+        h.update(repr((F.q, R.tolist(), list(piv),
+                       kernel_basis(F, A).tolist(), sols,
+                       span_matrix(F, A, cap=4096).tolist()
+                       if F.q ** len(piv) <= 4096 else None)).encode())
+    assert h.hexdigest() == ("0a4ed0eef56e3e2fd7b3923b79bbc9ea"
+                             "8eb984c45fe9e078d141ed00f9f33b65")
 
 
 # ---------------------------------------------------------------------------

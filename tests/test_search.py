@@ -9,7 +9,8 @@ from indexcode.bounds import nq_kd
 from indexcode.codes import min_rank, search_min_length
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field
-from indexcode.search import min_length_search, projective_reps
+from indexcode.search import (min_length_search, projective_index,
+                              projective_reps)
 from indexcode.static_codes import static_bounds
 
 
@@ -118,3 +119,19 @@ def test_search_rejects_bad_counts(F2, pentagon):
         min_length_search(F2, columns, columns, 0, 3)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         search_min_length(pentagon, F2, -1, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_index_is_the_position_in_projective_reps(q):
+    """Every nonzero vector of F_q^k, k <= 4, maps to the rep among its
+    nonzero multiples."""
+    field = make_field(q)
+    for k in range(1, 5):
+        position = {}
+        for t, rep in enumerate(projective_reps(field, k)):
+            for c in range(1, q):
+                position[tuple(field.scale(c, np.array(rep)).tolist())] = t
+        V = np.array(list(itertools.product(range(q), repeat=k))[1:])
+        assert len(position) == len(V)
+        assert projective_index(field, V).tolist() == \
+            [position[tuple(v)] for v in V.tolist()]
