@@ -59,6 +59,7 @@ from .codes import (
     max_delta,
     min_rank,
     random_existence_condition,
+    random_min_length,
     search_certificate,
     search_min_length,
     verify,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import min_rank, random_existence_condition
+from .codes import min_rank, random_min_length
 from .errors import BudgetExceeded
 from .fields import make_field, sphere_volume
 from .instances import (
@@ -188,14 +188,12 @@ def bound_report(inst, field, delta, workers=1, budget=50_000_000):
     kappa_entry = nq_kd(field.q, w.kappa, d, workers=workers, budget=budget)
     singleton = w.kappa + 2 * delta
     mds_exact = singleton if field.q >= w.kappa + 2 * delta - 1 else None
-    N = 1
-    while not random_existence_condition(inst, field, delta, N):
-        N += 1
     return BoundReport(
         delta=delta, q=field.q, alpha=alpha, alpha_witness=wit,
         kappa=w.kappa, kappa_certified=w.certified,
         alpha_entry=alpha_entry, kappa_entry=kappa_entry,
-        singleton=singleton, mds_exact=mds_exact, random_N=N)
+        singleton=singleton, mds_exact=mds_exact,
+        random_N=random_min_length(inst, field, delta))
 
 
 @dataclass

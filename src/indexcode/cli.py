@@ -196,10 +196,7 @@ def cmd_construct(args):
     if args.method == "random":
         N = args.max_n
         if N is None:
-            N = 1
-            while not codes.random_existence_condition(inst, field,
-                                                       args.delta, N):
-                N += 1
+            N = codes.random_min_length(inst, field, args.delta)
         rep = codes.construct_random(inst, field, args.delta, N,
                                      seed=args.seed,
                                      max_attempts=args.attempts)

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
-from .fields import (all_combinations, check_matrix, matrix_from_text,
+from .fields import (check_matrix, combination_blocks, matrix_from_text,
                      matrix_to_text, rref, solve_one, sphere_volume, weight)
 from .instances import instance_hash, iter_I, y_set
 from .search import min_length_search, projective_index, projective_reps
 
-VERIFY_SPAN_CAP = 2**18
-# candidate rows a min_rank node reduces in one step; a receiver with more
-# (q^|X_i| above this) is reduced block by block, in the same order
+VERIFY_SPAN_CAP = 2**22
+# rows a min_rank node reduces, or verify weighs, in one step; a receiver
+# with more combinations is handled block by block, in the same order
 MIN_RANK_BLOCK = 2**12
 
 
@@ -48,10 +48,11 @@ class VerificationReport:
 def _scan_receiver_spans(inst, field, L, span_cap):
     """Min weight(z L) per receiver over z = e_f(i) + combos on Y_i.
 
-    Enumeration: receivers ascending; within a receiver, all_combinations of
-    the sorted Y_i rows, so the first Y_i row's coefficient cycles fastest
-    and the lightest combination found first wins.  Scaling z never changes
-    the weight, so fixing the f(i) coefficient to 1 loses nothing.
+    Enumeration: receivers ascending; within a receiver, the
+    combination_blocks of the sorted Y_i rows, so the first Y_i row's
+    coefficient cycles fastest and the lightest combination found first
+    wins.  Scaling z never changes the weight, so fixing the f(i)
+    coefficient to 1 loses nothing.
     """
     q = field.q
     minw = None
@@ -64,28 +65,34 @@ def _scan_receiver_spans(inst, field, L, span_cap):
         if size > span_cap:
             raise SpanCapExceeded(
                 f"receiver {i}: {size} combinations exceed cap {span_cap}")
-        vecs = field.add_arr(all_combinations(field, L[yi]),
-                             L[inst.f[i]][None, :])
-        wts = np.count_nonzero(vecs, axis=1)
+        at = 0   # index of the block's first combination
+        for vecs in combination_blocks(field, L[yi], MIN_RANK_BLOCK,
+                                       base=L[inst.f[i]]):
+            wts = np.count_nonzero(vecs, axis=1)
+            idx = int(np.argmin(wts))
+            w = int(wts[idx])
+            if minw is None or w < minw:
+                minw = w
+                idx += at
+                z = np.zeros(inst.n, dtype=np.int64)
+                z[inst.f[i]] = 1
+                for j in yi:  # coefficients are the base-q digits of idx
+                    idx, z[j] = divmod(idx, q)
+                witness = z
+                wit_rec = i
+            at += len(vecs)
         cost += size
-        idx = int(np.argmin(wts))
-        w = int(wts[idx])
-        if minw is None or w < minw:
-            minw = w
-            z = np.zeros(inst.n, dtype=np.int64)
-            z[inst.f[i]] = 1
-            for j in yi:  # coefficients are the base-q digits of idx
-                idx, z[j] = divmod(idx, q)
-            witness = z
-            wit_rec = i
     return minw, witness, wit_rec, cost
 
 
-def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP, method="auto"):
+def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP,
+           method="receiver-span"):
     """Check that L corrects delta errors for every receiver of inst.
 
-    method "auto" uses the per-receiver span scan unless some q^|Y_i|
-    exceeds span_cap, in which case it streams all confusable vectors.
+    method "receiver-span" scans each receiver's L_f(i) + span(L[Y_i]) a
+    block at a time and raises SpanCapExceeded when some q^|Y_i| exceeds
+    span_cap.  "stream" is the definitional oracle: one product z L per
+    confusable vector z of iter_I.
     """
     L = check_matrix(field, L)
     if L.shape[0] != inst.n:
@@ -93,9 +100,6 @@ def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP, method="auto"):
     if delta < 0:
         raise ValueError("delta must be >= 0")
     need = 2 * delta + 1
-    if method == "auto":
-        big = max(field.q ** len(y_set(inst, i)) for i in range(inst.m))
-        method = "receiver-span" if big <= span_cap else "stream"
     if method == "receiver-span":
         minw, wit, rec, cost = _scan_receiver_spans(inst, field, L, span_cap)
     elif method == "stream":
@@ -152,7 +156,8 @@ def min_rank(inst, field, node_budget=5_000_000):
     lexicographically least completion.
 
     Each receiver's q^|X_i| candidate rows are tried in one order (the
-    coefficient of the last element of sorted X_i cycles fastest).  The row
+    coefficient of the last element of sorted X_i cycles fastest), taken
+    from combination_blocks of MIN_RANK_BLOCK rows built once.  The row
     space is carried as its n x n projection P, which maps a row v to its
     residual against the space: v less the combination of the basis rows
     that clears v at the pivot columns of the space's reduced row echelon
@@ -162,39 +167,20 @@ def min_rank(inst, field, node_budget=5_000_000):
     P - P[:, p] (x) r / r[p].  The residual of a row is unique, so P is as
     canonical for the space as its reduced row echelon form, and the memo
     key (depth, P) splits the states exactly as (depth, rref) would: the
-    memo hits, the nodes and the result do not depend on the choice.  A
-    block is all the candidates when there are at most MIN_RANK_BLOCK of
-    them, built once; otherwise the slowest coefficients fix one block each.
+    memo hits, the nodes and the result do not depend on the choice.
 
     node_budget caps the DFS nodes: one global count summed over every
     target rank and both passes.  When it runs out the result is the
     uncertified identity completion, with lower_bound the target rank the
     search had reached.
     """
-    n, m, q = inst.n, inst.m, field.q
+    n, m = inst.n, inst.m
     Xs = [sorted(inst.X[i]) for i in range(m)]
     order = sorted(range(m), key=lambda i: (-len(Xs[i]), i))
     nodes = [0]
-    tables = []
-    for i in range(m):
-        X = Xs[i][::-1]
-        fast = 0
-        while fast < len(X) and q ** (fast + 1) <= MIN_RANK_BLOCK:
-            fast += 1
-        units = np.zeros((fast, n), dtype=np.int64)
-        units[np.arange(fast), X[:fast]] = 1
-        T = all_combinations(field, units)
-        T[:, inst.f[i]] = 1
-        tables.append((T, X[fast:]))
-
-    def candidates(i):
-        """Receiver i's candidate rows, in DFS order, block by block."""
-        T, slow = tables[i]
-        for block in range(q ** len(slow)):
-            C = T.copy() if slow else T
-            for col in slow:
-                block, C[:, col] = divmod(block, q)
-            yield C
+    unit = np.eye(n, dtype=np.int64)
+    candidates = [combination_blocks(field, unit[Xs[i][::-1]], MIN_RANK_BLOCK,
+                                     base=unit[inst.f[i]]) for i in range(m)]
 
     def extend(P, res):
         """Projection for the span of P's space plus the residual res."""
@@ -215,7 +201,7 @@ def min_rank(inst, field, node_budget=5_000_000):
             key = (dpt, P.tobytes())
             if key in failed:
                 return None
-            for C in candidates(rec_order[dpt]):
+            for C in candidates[rec_order[dpt]]:
                 res = field.matmul(C, P) if rk else C
                 raises = res.any(axis=1).tolist()
                 tries = range(len(C)) if rk < k else \
@@ -331,6 +317,16 @@ def random_existence_condition(inst, field, delta, N):
     return total * sphere_volume(q, N, 2 * delta) < q ** N
 
 
+def random_min_length(inst, field, delta):
+    """Least N where random_existence_condition holds.  The condition is
+    monotone in N, since V_q(N+1, r) <= q V_q(N, r), so the upward scan
+    finds it."""
+    N = 1
+    while not random_existence_condition(inst, field, delta, N):
+        N += 1
+    return N
+
+
 def construct_random(inst, field, delta, N, seed, max_attempts=1000):
     """Sample uniform n x N matrices until one verifies."""
     rng = np.random.default_rng(seed)
@@ -343,11 +339,7 @@ def construct_random(inst, field, delta, N, seed, max_attempts=1000):
             found = L
             break
     cond = random_existence_condition(inst, field, delta, N)
-    nmin = N
-    while nmin > 1 and random_existence_condition(inst, field, delta, nmin - 1):
-        nmin -= 1
-    while not random_existence_condition(inst, field, delta, nmin):
-        nmin += 1
+    nmin = random_min_length(inst, field, delta)
     singleton = None
     if found is None:
         w = min_rank(inst, field)

@@ -65,9 +65,15 @@ def make_view(inst, field, i, y, side):
 
 def transmit(inst, field, L, x, error, i):
     """The view receiver i gets when x is broadcast through L plus an error."""
+    L = check_matrix(field, L)
     x = np.asarray(x, dtype=np.int64)
-    y = field.add_arr(field.matmul(x[None, :], check_matrix(field, L))[0],
-                      np.asarray(error, dtype=np.int64))
+    error = np.asarray(error, dtype=np.int64)
+    for name, v, size in (("x", x, inst.n), ("error", error, L.shape[1])):
+        if v.shape != (size,):
+            raise ValueError(f"{name} must have {size} entries")
+        if v.min(initial=0) < 0 or v.max(initial=0) >= field.q:
+            raise ValueError(f"{name} entries must lie in 0..{field.q - 1}")
+    y = field.add_arr(field.matmul(x[None, :], L)[0], error)
     return make_view(inst, field, i, y, {j: int(x[j]) for j in inst.X[i]})
 
 

@@ -12,10 +12,10 @@ Each field keeps a table of inverses.
 
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
 takes the Field explicitly.  This module owns the enumeration orders
-(solution sweeps, all_combinations of rows, support_vectors per support and
-sparse_vectors by weight built on it) and the Hamming-ball count
-sphere_volume; they are fixed and documented so that searches built on top
-are reproducible bit for bit.
+(solution sweeps, all_combinations of rows and combination_blocks of it,
+support_vectors per support and sparse_vectors by weight built on it) and
+the Hamming-ball count sphere_volume; they are fixed and documented so that
+searches built on top are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ TABLE_CAP = 1024           # extension fields precompute q*q tables up to this
 SPAN_CAP_DEFAULT = 2**20   # default cap on enumerated span size
 
 # ---------------------------------------------------------------------------
-# small prime / polynomial utilities (coefficient tuples, constant term first)
+# small prime utilities
 # ---------------------------------------------------------------------------
 
 
@@ -62,70 +62,6 @@ def _factor_prime_power(q):
                 raise ValueError(f"{q} is not a prime power")
             return p, e
     raise ValueError(f"{q} is not a prime power")
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo monic m, coefficients mod p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_is_irreducible(m, p):
-    """Trial division by all monic polynomials of degree 1..deg(m)//2."""
-    m = _poly_trim(m)
-    deg = len(m) - 1
-    if deg < 1 or m[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        # monic degree-d divisors: p^d candidates for the low coefficients
-        for code in range(p**d):
-            cand = _digits(code, p, d) + (1,)
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
-
-
-def _digits(code, p, e):
-    out = []
-    for _ in range(e):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
-def _code(digits, p):
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
 
 
 # Fixed default moduli for every prime power q <= 256 (constant term first,
@@ -198,31 +134,33 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {e}")
-            if not _poly_is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
             self._build_tables()
+            # the quotient ring is a field exactly when it has no zero
+            # divisors, that is, when the modulus is irreducible
+            if not self._mul[1:, 1:].all():
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
 
     def _build_tables(self):
+        """q x q tables on the codes.  Multiplying by x is linear over F_p:
+        with W[j, b] the coefficients of x^j b, coefficient k of the
+        product a b is sum_j a_j W[j, b, k] mod p."""
         p, e, q = self.p, self.e, self.q
-        polys = [_digits(c, p, e) for c in range(q)]
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            pa = _poly_trim(polys[a])
-            for b in range(a, q):
-                m = _poly_mod(_poly_mul(pa, _poly_trim(polys[b]), p),
-                              self.modulus, p)
-                mul[a, b] = mul[b, a] = _code(m + (0,) * (e - len(m)), p)
-        self._mul = mul
-        self._inv = np.argmax(mul == 1, axis=1)   # row 0 has no 1: gives 0
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p   # coefficients, row c
+        low = np.array(self.modulus[:e])   # x^e = -(low[0] + low[1] x + ...)
+        W = [digits]
+        for _ in range(e - 1):
+            prev = W[-1]
+            up = np.hstack([np.zeros((q, 1), dtype=np.int64), prev[:, :-1]])
+            W.append((up - prev[:, -1:] * low) % p)
+        W = np.stack(W)
+        self._mul = sum(digits @ W[:, :, k] % p * place[k] for k in range(e))
+        self._inv = np.argmax(self._mul == 1, axis=1)  # row 0 has no 1: 0
         if not self._xor:
-            add = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(a, q):
-                    s = tuple((x + y) % p for x, y in zip(polys[a], polys[b]))
-                    add[a, b] = add[b, a] = _code(s, p)
-            self._add = add
-            self._neg = np.argmax(add == 0, axis=1)
+            self._add = sum((digits[:, None, k] + digits[None, :, k]) % p
+                            * place[k] for k in range(e))
+            self._neg = np.argmax(self._add == 0, axis=1)
 
     # -- scalar ops --------------------------------------------------------
 
@@ -553,6 +491,41 @@ def all_combinations(field, rows):
                   for c in range(field.q)]
         out = np.concatenate(blocks, axis=0)
     return out
+
+
+def combination_blocks(field, rows, size, base=None):
+    """base + all_combinations(field, rows) in the same order, as arrays of
+    at most `size` rows, so a caller can work on many combinations at once
+    while holding about one block.
+
+    The result is built once and can be iterated any number of times.  The
+    fast rows, whose q**f combinations fit in `size`, form one table; each
+    block adds one combination of the remaining rows to it, so when every
+    combination fits the one block is that table itself, not a copy.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    fast = 0
+    while fast < len(rows) and field.q ** (fast + 1) <= size:
+        fast += 1
+    table = all_combinations(field, rows[:fast])
+    if base is not None:
+        table = field.add_arr(table, base)
+    return _CombinationBlocks(field, table, rows[fast:])
+
+
+class _CombinationBlocks:
+    def __init__(self, field, table, slow):
+        self.field, self.table, self.slow = field, table, slow
+
+    def __iter__(self):
+        if not len(self.slow):
+            yield self.table
+            return
+        field = self.field
+        for c in itertools.product(range(field.q), repeat=len(self.slow)):
+            # product runs its last digit fastest; slow[0] must be fastest
+            shift = field.matmul(np.array([c[::-1]]), self.slow)
+            yield field.add_arr(self.table, shift)
 
 
 # ---------------------------------------------------------------------------

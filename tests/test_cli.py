@@ -61,6 +61,20 @@ def test_verify_json_format(files, capsys):
     assert doc["witness"] is None
 
 
+def test_verify_budget_caps_each_receiver_span(files, F2, pentagon_L9,
+                                               capsys):
+    # every pentagon receiver scans q^|Y_i| = 4 combinations; below that
+    # verify stops rather than switching to a slower enumeration
+    path = files["tmp"] + "/pentagonL9.txt"
+    save_matrix(path, F2, pentagon_L9)
+    argv = ["verify", "--instance", files["pentagon"], "--matrix", path,
+            "--delta", "2", "--budget"]
+    assert main(argv + ["4"]) == OK
+    assert "method: receiver-span" in capsys.readouterr().out
+    assert main(argv + ["3"]) == BUDGET
+    assert "4 combinations exceed cap 3" in capsys.readouterr().err
+
+
 def test_alpha(files, capsys):
     assert main(["alpha", "--instance", files["ring5"]]) == OK
     out = capsys.readouterr().out

@@ -17,6 +17,7 @@ from indexcode.codes import (
     max_delta,
     min_rank,
     random_existence_condition,
+    random_min_length,
     search_certificate,
     search_min_length,
     verify,
@@ -63,7 +64,9 @@ def test_verify_pentagon_L9(F2, pentagon, pentagon_L9):
     assert rep.min_weight >= 5
 
 
-def test_verify_methods_agree_seeded(F2, F3):
+def _seeded_verify_cases():
+    """40 seeded (instance, field, L, delta) cases over GF(2) and GF(3)."""
+    F2, F3 = make_field(2), make_field(3)
     rng = np.random.default_rng(11)
     for _ in range(40):
         field = F2 if rng.random() < 0.5 else F3
@@ -71,6 +74,11 @@ def test_verify_methods_agree_seeded(F2, F3):
         N = int(rng.integers(1, 6))
         L = rng.integers(0, field.q, size=(inst.n, N))
         delta = int(rng.integers(0, 2))
+        yield inst, field, L, delta
+
+
+def test_verify_methods_agree_seeded():
+    for inst, field, L, delta in _seeded_verify_cases():
         a = verify(inst, field, L, delta, method="receiver-span")
         b = verify(inst, field, L, delta, method="stream")
         assert a.ok == b.ok
@@ -115,17 +123,46 @@ def test_verify_rejects_bad_shapes(F2, k3, k3_L):
         verify(k3, F2, k3_L[:2], 1)
     with pytest.raises(ValueError):
         verify(k3, F2, k3_L, -1)
-    with pytest.raises(ValueError):
-        verify(k3, F2, k3_L, 1, method="nope")
+    for method in ("nope", "auto"):
+        with pytest.raises(ValueError):
+            verify(k3, F2, k3_L, 1, method=method)
 
 
 def test_verify_span_cap(F2, pentagon, pentagon_L9):
     with pytest.raises(SpanCapExceeded):
         verify(pentagon, F2, pentagon_L9, 2, span_cap=1,
                method="receiver-span")
-    # auto mode falls back to streaming instead of failing
-    rep = verify(pentagon, F2, pentagon_L9, 2, span_cap=1)
-    assert rep.ok and rep.method == "stream"
+    # the default method is the span scan: past the cap it refuses
+    with pytest.raises(SpanCapExceeded):
+        verify(pentagon, F2, pentagon_L9, 2, span_cap=1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_verify_blocks_keep_the_scan(monkeypatch, block):
+    """Weighing each receiver's span a few rows at a time gives the report
+    of the one-block scan: the first lightest vector still wins."""
+    def run():
+        return [(r.ok, r.min_weight, None if r.witness is None
+                 else r.witness.tolist(), r.receiver, r.cost)
+                for inst, field, L, delta in _seeded_verify_cases()
+                for r in [verify(inst, field, L, delta)]]
+
+    whole = run()
+    monkeypatch.setattr(codes, "MIN_RANK_BLOCK", block)
+    assert run() == whole
+
+
+def test_verify_large_receiver_scans_its_span(F2):
+    # one receiver with |Y_0| = 19: 2^19 combinations, a block at a time
+    inst = make_instance(20, (0,), ((),))
+    L = np.random.default_rng(5).integers(0, 2, size=(20, 24))
+    rep = verify(inst, F2, L, 1)
+    assert rep.method == "receiver-span" and rep.cost == 2**19
+    # pinned from the one-block scan and the stream, which agree here
+    assert not rep.ok and rep.min_weight == 1 and rep.receiver == 0
+    assert rep.witness.tolist() == [1, 0, 1, 0, 1, 1, 0, 1, 0, 1,
+                                    0, 1, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert weight(F2.matmul(rep.witness[None, :], L)[0]) == 1
 
 
 def test_receiver_span_witness_tie_break(F3):
@@ -428,6 +465,19 @@ def test_construct_random_impossible_below_singleton(F2, k3):
     assert not rep.ok and rep.attempts == 64
     assert rep.singleton_bound == 3
     assert not rep.condition_holds
+
+
+def test_random_min_length_is_the_least_certified_length(F2, F3, ring5,
+                                                          pentagon):
+    for inst, field, delta in [(ring5, F2, 1), (pentagon, F3, 2),
+                               (ring5, F3, 0)]:
+        N = random_min_length(inst, field, delta)
+        assert random_existence_condition(inst, field, delta, N)
+        assert not any(random_existence_condition(inst, field, delta, M)
+                       for M in range(1, N))
+        rep = construct_random(inst, field, delta, N + 3, seed=0,
+                               max_attempts=1)
+        assert rep.condition_min_N == N
 
 
 def test_random_existence_condition_monotone(F2, ring5):

@@ -53,6 +53,23 @@ def test_transmit_golden(F2, k3, k3_L):
     assert view.side == ((1, 0), (2, 1))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_transmit_rejects_error_entries_outside_the_field(q, k3, k3_L):
+    # q + 1 would act as 1 in a prime field and leave GF(4) through XOR
+    e = np.array([q + 1, 0, 0, 0])
+    with pytest.raises(ValueError, match="^error entries"):
+        transmit(k3, make_field(q), k3_L, [1, 0, 1], e, 0)
+    with pytest.raises(ValueError, match="^x entries"):
+        transmit(k3, make_field(q), k3_L, [1, -1, 1], np.zeros(4), 0)
+
+
+def test_transmit_rejects_words_of_the_wrong_length(F2, k3, k3_L):
+    with pytest.raises(ValueError, match="error must have 4 entries"):
+        transmit(k3, F2, k3_L, [1, 0, 1], [1, 0, 0], 0)
+    with pytest.raises(ValueError, match="x must have 3 entries"):
+        transmit(k3, F2, k3_L, [1, 0], [1, 0, 0, 0], 0)
+
+
 # ---------------------------------------------------------------------------
 # local codes and syndromes
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from indexcode.errors import SpanCapExceeded
 from indexcode.fields import (
     DEFAULT_MODULI,
     Field,
+    all_combinations,
     check_matrix,
+    combination_blocks,
     kernel_basis,
     make_field,
     matrix_from_text,
@@ -165,6 +167,42 @@ def test_construction_errors():
     # large prime field works without tables
     F = Field(65521)
     assert F.mul(12345, F.inv(12345)) == 1
+
+
+def _has_monic_factor(m, p):
+    """Brute force: does some monic polynomial of degree 1..deg(m)//2
+    divide m over F_p?  Polynomials are coefficient tuples, constant
+    term first."""
+    def divides(f, g):
+        g = list(g)
+        while len(g) >= len(f):
+            lead, at = g[-1], len(g) - len(f)
+            for i, c in enumerate(f):
+                g[at + i] = (g[at + i] - lead * c) % p
+            g.pop()
+        return not any(g)
+
+    return any(divides(low + (1,), m)
+               for d in range(1, (len(m) - 1) // 2 + 1)
+               for low in itertools.product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                  (5, 2), (5, 3)])
+def test_field_accepts_exactly_the_irreducible_moduli(p, e):
+    accepted = 0
+    for low in itertools.product(range(p), repeat=e):
+        m = low + (1,)
+        if _has_monic_factor(m, p):
+            with pytest.raises(ValueError, match="reducible"):
+                Field(p ** e, m)
+        else:
+            F = Field(p ** e, m)
+            assert F.modulus == m
+            accepted += 1
+    # the count of monic irreducibles of degree e over F_p (Gauss)
+    assert accepted == {(2, 2): 1, (2, 3): 2, (2, 4): 3, (3, 2): 3,
+                        (3, 3): 8, (5, 2): 10, (5, 3): 40}[(p, e)]
 
 
 def test_custom_modulus_accepted():
@@ -362,6 +400,39 @@ def test_sparse_blocks_follow_sparse_vectors():
         assert flat.shape == (sphere_volume(q, k, r), k)
         assert np.array_equal(flat, sparse_vectors(q, k, r))
     assert list(sparse_blocks(3, 3, -1, 5)) == []
+
+
+def _block_sizes(q, k):
+    """Every block size 1..q^k while that is cheap.  Beyond it the blocks
+    depend only on the largest power q^f <= size, so the ends of each such
+    range cover every split."""
+    if q ** k <= 256:
+        return range(1, q ** k + 1)
+    return sorted({q ** f for f in range(k + 1)} |
+                  {q ** (f + 1) - 1 for f in range(1, k)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_combination_blocks_follow_all_combinations(q):
+    F = make_field(q)
+    rng = np.random.default_rng(q)
+    for k in range(6):
+        rows = rng.integers(0, q, size=(k, 3))
+        base = rng.integers(0, q, size=3)
+        whole = all_combinations(F, rows)
+        want = F.add_arr(whole, base[None, :])
+        for size in _block_sizes(q, k):
+            blocks = combination_blocks(F, rows, size, base=base)
+            first = list(blocks)
+            assert max(map(len, first)) <= size
+            assert np.array_equal(np.concatenate(first), want)
+            # iterating again gives the same blocks
+            assert np.array_equal(np.concatenate(list(blocks)), want)
+            assert list(map(len, blocks)) == list(map(len, first))
+        plain = combination_blocks(F, rows, q)
+        assert np.array_equal(np.concatenate(list(plain)), whole)
+        one = combination_blocks(F, rows, q ** k, base=base)
+        assert next(iter(one)) is next(iter(one))   # the table, uncopied
 
 
 def test_span_cap_enforced():
