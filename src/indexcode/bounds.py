@@ -4,8 +4,12 @@ N_q[k,d] here is the least length of a linear code over F_q with dimension k
 and minimum distance at least d.  Sources, in the order the auto mode tries
 them: a small table of published values, closed forms (d = 1, repetition,
 the MDS rule N = k + d - 1 valid once q >= k + d - 2), and exhaustive
-column-multiset search.  When none applies, the entry degrades to the
-bracket [Singleton, Gilbert-Varshamov].
+column-multiset search.  When none applies (too many projective points,
+or the search budget ran out), the entry degrades to the bracket
+[Singleton, Gilbert-Varshamov] with provenance "bracket".  A search that
+refutes every length up to an explicit n_max instead returns N = None with
+provenance "search", its nodes and refutations, and the bracket
+[max(n_max + 1, Singleton), Gilbert-Varshamov].
 
 An instance's achievable lengths are then sandwiched: the generalized
 independence number alpha gives N >= N_q[alpha, 2delta+1]; the min rank
@@ -80,7 +84,7 @@ class CodeTableEntry:
     N: int | None
     provenance: str          # table | trivial | repetition | mds | search | bracket
     generator: np.ndarray | None
-    bracket: tuple | None    # (singleton, gv) when N is unknown
+    bracket: tuple | None    # (lower, gv) when N is unknown
     nodes: int
     refuted: dict
 
@@ -92,10 +96,29 @@ def _search_nq(field, k, d, n_max, workers, budget):
             f"{len(columns)} projective points exceed search cap")
     res = min_length_search(field, columns, columns, d, n_max,
                             workers=workers, budget=budget)
-    if res.n_opt is None:
-        raise BudgetExceeded(f"no [N,{k},>={d}] code found up to N={n_max}")
-    G = np.array([columns[t] for t in res.solution], dtype=np.int64).T.copy()
+    G = None if res.n_opt is None else np.array(
+        [columns[t] for t in res.solution], dtype=np.int64).T.copy()
     return res.n_opt, G, res.nodes, res.refuted
+
+
+def _search_entry(field, k, d, n_max, workers, budget):
+    """The search's entry; when every length up to n_max is refuted, N is
+    None and the bracket starts above n_max."""
+    n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
+    bracket = None if n is not None else (
+        max(n_max + 1, singleton_lower(k, d)), gv_upper(field.q, k, d))
+    return CodeTableEntry(field.q, k, d, n, "search", G, bracket, nodes,
+                          refuted)
+
+
+def _table_generator(field, k, d, N, n_max, workers, budget):
+    n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
+    if n is None:
+        raise BudgetExceeded(f"no [N,{k},>={d}] code found up to N={n_max}")
+    if n != N:
+        raise RuntimeError(
+            f"search found N={n}, table says {N}: table is wrong")
+    return G, nodes, refuted
 
 
 def nq_kd(q, k, d, mode="auto", need_generator=False,
@@ -115,16 +138,12 @@ def nq_kd(q, k, d, mode="auto", need_generator=False,
             raise KeyError(f"no table entry for {(q, k, d)}")
         entry = CodeTableEntry(q, k, d, N, "table", None, None, 0, {})
         if need_generator:
-            n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
-            if n != N:
-                raise RuntimeError(
-                    f"search found N={n}, table says {N}: table is wrong")
-            entry.generator, entry.nodes, entry.refuted = G, nodes, refuted
+            entry.generator, entry.nodes, entry.refuted = _table_generator(
+                field, k, d, N, n_max, workers, budget)
         return entry
 
     if mode == "search":
-        n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
-        return CodeTableEntry(q, k, d, n, "search", G, None, nodes, refuted)
+        return _search_entry(field, k, d, n_max, workers, budget)
 
     # auto
     if d == 1:
@@ -138,22 +157,18 @@ def nq_kd(q, k, d, mode="auto", need_generator=False,
                                None, None, 0, {})
         if need_generator:
             try:
-                n, G, nodes, refd = _search_nq(field, k, d, n_max,
-                                               workers, budget)
+                entry.generator, entry.nodes, entry.refuted = \
+                    _table_generator(field, k, d, entry.N, n_max, workers,
+                                     budget)
             except BudgetExceeded:
                 return entry
-            if n != entry.N:
-                raise RuntimeError(
-                    f"search found N={n}, table says {entry.N}: table is wrong")
-            entry.generator, entry.nodes, entry.refuted = G, nodes, refd
         return entry
     if q >= k + d - 2:
         N = k + d - 1
         return CodeTableEntry(q, k, d, N, "mds",
                               rs_generator(field, k, N), None, 0, {})
     try:
-        n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
-        return CodeTableEntry(q, k, d, n, "search", G, None, nodes, refuted)
+        return _search_entry(field, k, d, n_max, workers, budget)
     except BudgetExceeded:
         return CodeTableEntry(q, k, d, None, "bracket", None,
                               (singleton_lower(k, d), gv_upper(q, k, d)),

@@ -355,8 +355,12 @@ def cmd_nqkd(args):
              f"provenance: {entry.provenance}"]
     if entry.bracket is not None:
         lines.append(f"bracket: {entry.bracket[0]}..{entry.bracket[1]}")
+    if entry.N is None and entry.refuted:
+        lines.append(f"refuted lengths: {sorted(entry.refuted)}")
     _emit(args, entry, lines)
-    return OK if entry.N is not None else BUDGET
+    if entry.N is not None:
+        return OK
+    return BUDGET if entry.provenance == "bracket" else FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,33 @@ an ascending-length scan:
 
 Deficits are stored bit-sliced: targets are bit positions, and levels[k] is
 the set of targets still short of k+1 hits, so levels[0] is the deficient
-set, levels[k+1] is a subset of levels[k], and a trailing 0 closes the list.
+set, levels[k+1] is a subset of levels[k], and a trailing 0 closes the list;
+a node with s slots has no deficit above s, so it lists min(s, d) levels.
 Hitting the deficient targets m of a column is levels[k] = (levels[k] & ~m)
 | (levels[k+1] & m), a few int operations whatever the number of targets.
-Every node keeps each deficit <= remaining, so a child's worst deficit
-reaches remaining exactly when levels[remaining-1] has a target outside m.
-reach[t] is the union of the masks of types t, t+1, ...; a child that took
-type t passes the union rule when reach[t] covers its deficient set.
+Every node keeps each deficit <= remaining, so its worst-deficit ("tight")
+set is levels[remaining-1], and every child's column must cover it.  A parent
+computes a child's tight set, (levels[r] & ~m) | (levels[r+1] & m) with r
+the child's slots minus one, and keeps only the types covering it in the
+child's candidate list; the coverage rule still takes its best single-column
+coverage over every type u >= t with a hit.  reach[t] is the union of the
+masks of types t, t+1, ...; a child that took type t passes the union rule
+exactly when reach[t] covers its parent's deficient set, because t hits none
+of the targets outside reach[t].  reach shrinks as t grows, so the children
+failing it end each candidate list: the parent counts them instead of
+listing them, and the node adds them to the node count once its listed
+children are done, where a one-by-one loop would have reached them.  They
+are never solved, since a solving column covers every deficient target.
 
 A parent runs each child's entry tests in its own loop (solved, no slots
-left, union rule on the child's levels[0], coverage rule) and builds the
-child's other levels and a frame only for a child that passes them all.
-A child counts as a node, and meets the budget, when it is tested.
+left, coverage rule) and builds the child's other levels and a frame only
+for a child that passes them all.  A child with one slot left has every
+deficit <= 1, so it passes the coverage rule exactly when one type u >= t
+covers its deficient set, and then it is solved at the first such u in one
+node: the parent looks for that u itself and counts that node.  Children
+test the types u >= t in a list of (u, masks[u]) for the types with a hit,
+built the first time some child takes t.  A child counts as a node, and
+meets the budget, when it is tested.
 """
 
 from __future__ import annotations
@@ -109,18 +124,21 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
     reach = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
         reach[t] = reach[t + 1] | masks[t]
+    tails = [None] * T  # tails[t]: (u, masks[u]) for u >= t with a hit
+    stop = f"search budget {budget} exhausted"
     nodes = 0
 
-    def dfs(levels, def_sum, remaining, cands):
-        nonlocal nodes  # cands: this node's children (type, hit set, size)
-        tight = levels[remaining - 1] if remaining <= d else 0  # m must cover
-        remaining -= 1
+    def dfs(levels, def_sum, remaining, cands, dead):
+        # cands: the children (type, hit set, size) that pass the union
+        # rule; dead: how many children after them fail it
+        nonlocal nodes
+        remaining -= 1  # each child's slots
+        r = remaining - 1
+        width = remaining if remaining < d else d  # levels a child can fill
         for t, m, cov in cands:
-            if tight & ~m:
-                continue
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"search budget {budget} exhausted")
+                raise BudgetExceeded(stop)
             sub_sum = def_sum - cov
             if sub_sum == 0:
                 return (t,)
@@ -128,32 +146,56 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
                 continue
             nm = ~m
             def_mask = (levels[0] & nm) | (levels[1] & m)
-            if reach[t] & def_mask != def_mask:
+            tail = tails[t]
+            if tail is None:
+                tail = tails[t] = [(u, masks[u]) for u in range(t, T)
+                                   if masks[u]]
+            if remaining == 1:  # solved by the first type covering def_mask
+                for u, mu in tail:
+                    if not def_mask & ~mu:
+                        nodes += 1
+                        if nodes > budget:
+                            raise BudgetExceeded(stop)
+                        return (t, u)
                 continue
+            tight = (levels[r] & nm) | (levels[r + 1] & m) \
+                if remaining <= d else 0
             sub_cands = []
+            sub_dead = 0
             maxcov = 0
-            for u in range(t, T):
-                mu = masks[u] & def_mask
+            for u, mu in tail:
+                mu &= def_mask
                 if mu:
                     c = mu.bit_count()
-                    sub_cands.append((u, mu, c))
                     if c > maxcov:
                         maxcov = c
+                    if not tight & ~mu:
+                        if reach[u] & def_mask == def_mask:
+                            sub_cands.append((u, mu, c))
+                        else:
+                            sub_dead += 1
             if sub_sum > remaining * maxcov:
                 continue
             sub_levels = [def_mask]
-            for k in range(1, d):
+            for k in range(1, width):
                 sub_levels.append((levels[k] & nm) | (levels[k + 1] & m))
             sub_levels.append(0)
-            sub = dfs(sub_levels, sub_sum, remaining, sub_cands)
+            sub = dfs(sub_levels, sub_sum, remaining, sub_cands, sub_dead)
             if sub is not None:
                 return (t,) + sub
+        nodes += dead
+        if nodes > budget:
+            raise BudgetExceeded(stop)
         return None
 
+    full = (1 << nz) - 1
+    tight = full if n == d else 0
     cands = [(t, masks[t], masks[t].bit_count())
-             for t in first_types if masks[t]]
+             for t in first_types if masks[t] and not tight & ~masks[t]]
+    live = [c for c in cands if reach[c[0]] == full]
     try:
-        return dfs([(1 << nz) - 1] * d + [0], d * nz, n, cands), nodes
+        return dfs([full] * d + [0], d * nz, n, live,
+                   len(cands) - len(live)), nodes
     finally:
         del dfs  # dfs names itself through a cell: break the cycle now
 
@@ -173,6 +215,8 @@ def min_length_search(field, columns, targets, d, n_max,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if len(targets) == 0:
+        raise ValueError("need at least one target")
     masks = build_hits(field, columns, targets)
     nz = len(targets)
     chunks = [c for c in (range(w, len(masks), workers)

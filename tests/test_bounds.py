@@ -151,6 +151,25 @@ def test_nqkd_bracket_fallback():
     assert e.generator is None
 
 
+def test_nqkd_length_cap_is_a_search_result():
+    # N = 3, 4, 5 are refuted exhaustively, so N >= 6 is proved: the entry
+    # keeps the search's work instead of degrading to an open bracket
+    e = nq_kd(2, 3, 3, n_max=5)
+    assert (e.N, e.provenance, e.bracket) == (None, "search", (6, 6))
+    assert (e.nodes, e.refuted, e.generator) == (14, {3: 0, 4: 7, 5: 7}, None)
+    e = nq_kd(2, 3, 3, mode="search", n_max=5)
+    assert (e.N, e.provenance, e.bracket, e.nodes) == (None, "search",
+                                                       (6, 6), 14)
+
+
+def test_nqkd_budget_stop_is_an_open_bracket():
+    e = nq_kd(2, 4, 5, budget=100)
+    assert (e.N, e.provenance, e.nodes, e.refuted) == (None, "bracket", 0, {})
+    assert e.bracket == (singleton_lower(4, 5), gv_upper(2, 4, 5))
+    with pytest.raises(BudgetExceeded):
+        nq_kd(2, 4, 5, mode="search", budget=100)
+
+
 def test_nqkd_validation():
     with pytest.raises(ValueError):
         nq_kd(2, 0, 3)

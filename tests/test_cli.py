@@ -319,6 +319,22 @@ def test_nqkd_unknown_is_budget_exit(files, capsys):
     assert main(["nqkd", "--q", "2", "--k", "12", "--d", "3"]) == BUDGET
 
 
+def test_nqkd_length_cap_is_fail(files, capsys):
+    # every length up to --max-n is refuted: a proved answer, as for
+    # construct search, not a budget stop
+    assert main(["nqkd", "--q", "2", "--k", "3", "--d", "3",
+                 "--max-n", "5"]) == FAIL
+    out = capsys.readouterr().out
+    assert "provenance: search" in out and "bracket: 6..6" in out
+    assert "refuted lengths: [3, 4, 5]" in out
+
+
+def test_nqkd_budget_stop_is_budget_exit(files, capsys):
+    assert main(["nqkd", "--q", "2", "--k", "4", "--d", "5",
+                 "--budget", "100"]) == BUDGET
+    assert "provenance: bracket" in capsys.readouterr().out
+
+
 def test_missing_file_is_usage_error(files, capsys):
     assert main(["verify", "--instance", files["tmp"] + "/nope.json",
                  "--matrix", files["k3L"], "--delta", "1"]) == USAGE

@@ -1,5 +1,6 @@
 """The column-multiset DFS: pinned golden work and a brute-force oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,10 @@ from indexcode.fields import make_field
 from indexcode.search import (min_length_search, projective_index,
                               projective_reps)
 from indexcode.static_codes import static_bounds
+
+SEARCH_DIGEST = ("15e2442118faeb0eaa2bfee76688307e"
+                 "c741c62bcc6193a3bbd22c99e7734f0f")
+SEARCH_STOPS = 36
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,16 @@ def test_budget_counts_the_nodes_of_one_length():
     assert stop.value.refuted == {5: 0, 6: 15, 7: 15, 8: 15, 9: 15}
 
 
+def test_budget_stop_at_a_one_slot_node(F2, ring5):
+    # N=8 takes exactly 26,631 nodes, the last of them a child with one slot
+    # left, which its parent solves and counts
+    rep = search_min_length(ring5, F2, 2, 8, budget=26_631)
+    assert (rep.n_opt, rep.nodes) == (8, 26_693)
+    with pytest.raises(BudgetExceeded, match=r"at length 8") as stop:
+        search_min_length(ring5, F2, 2, 8, budget=26_630)
+    assert stop.value.refuted == {5: 0, 6: 31, 7: 31}
+
+
 @pytest.mark.slow
 def test_worker_count_changes_no_answer():
     # a solving length searches every worker's share to the end, so only
@@ -58,6 +73,52 @@ def test_worker_count_changes_no_answer():
     assert (two.N, two.refuted) == (one.N, one.refuted)
     assert np.array_equal(two.generator, one.generator)
     assert (one.nodes, two.nodes) == (65_515, 83_150)
+
+
+# ---------------------------------------------------------------------------
+# seeded digest: the whole search, budget stops included
+# ---------------------------------------------------------------------------
+
+
+def _seeded_search_outcomes():
+    """min_length_search on 200 seeded random cases: q in {2,3,4,5}, d in
+    1..5, budgets from 5 to 20,000 nodes, four cases with two workers.  Each
+    outcome is (n_opt, solution, nodes, refuted), or for a budget stop its
+    message and refuted map."""
+    rng = np.random.default_rng(2026)
+    dims = {2: (3, 4, 5), 3: (2, 3), 4: (2, 3), 5: (2, 3)}
+    out = []
+    for case in range(200):
+        q = int(rng.choice(list(dims)))
+        k = int(rng.choice(dims[q]))
+        field = make_field(q)
+        columns = projective_reps(field, k)
+        vectors = list(itertools.product(range(q), repeat=k))[1:]
+        size = int(rng.integers(len(vectors) // 2, len(vectors) + 1))
+        targets = [vectors[i] for i in sorted(
+            rng.choice(len(vectors), size, replace=False))]
+        d = int(rng.integers(1, 6))
+        n_max = d + int(rng.integers(0, 8))
+        budget = int(10 ** rng.uniform(0.5, 4.7))
+        workers = 2 if case % 50 == 49 else 1
+        try:
+            res = min_length_search(field, columns, targets, d, n_max,
+                                    workers=workers, budget=budget)
+        except BudgetExceeded as exc:
+            out.append((str(exc), sorted(exc.refuted.items())))
+        else:
+            out.append((res.n_opt, res.solution, res.nodes,
+                        sorted(res.refuted.items())))
+    return out
+
+
+def test_seeded_search_digest():
+    # recorded before one-slot children were solved in their parent; any
+    # change to a tree, a solution, a refutation or a stop point moves it
+    out = _seeded_search_outcomes()
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    stops = sum(isinstance(o[0], str) for o in out)
+    assert (digest, stops) == (SEARCH_DIGEST, SEARCH_STOPS)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +178,8 @@ def test_search_rejects_bad_counts(F2, pentagon):
     columns = projective_reps(F2, 2)
     with pytest.raises(ValueError):
         min_length_search(F2, columns, columns, 0, 3)
+    with pytest.raises(ValueError, match="at least one target"):
+        min_length_search(F2, columns, [], 1, 3)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         search_min_length(pentagon, F2, -1, 3)
 
