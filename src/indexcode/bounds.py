@@ -2,14 +2,16 @@
 
 N_q[k,d] here is the least length of a linear code over F_q with dimension k
 and minimum distance at least d.  Sources, in the order the auto mode tries
-them: a small table of published values, closed forms (d = 1, repetition,
-the MDS rule N = k + d - 1 valid once q >= k + d - 2), and exhaustive
-column-multiset search.  When none applies (too many projective points,
-or the search budget ran out), the entry degrades to the bracket
-[Singleton, Gilbert-Varshamov] with provenance "bracket".  A search that
-refutes every length up to an explicit n_max instead returns N = None with
-provenance "search", its nodes and refutations, and the bracket
-[max(n_max + 1, Singleton), Gilbert-Varshamov].
+them: closed forms (d = 1, repetition, the MDS rule N = k + d - 1 valid once
+q >= k + d - 2), Hamming's rule for d = 3 once F_q^k has more projective
+points than a search may take as columns, and exhaustive column-multiset
+search.  Every source with an N comes with a generator.  When none applies
+(too many projective points, or the search budget ran out), the entry
+degrades to the bracket [Singleton, Gilbert-Varshamov] with provenance
+"bracket".  A search that refutes every length up to an explicit n_max
+instead keeps provenance "search", its nodes and refutations, and the
+bracket [max(n_max + 1, Singleton), Gilbert-Varshamov].  A bracket whose
+two ends meet proves N, which is then set (with no generator).
 
 An instance's achievable lengths are then sandwiched: the generalized
 independence number alpha gives N >= N_q[alpha, 2delta+1]; the min rank
@@ -25,22 +27,14 @@ import numpy as np
 
 from .codes import min_rank, random_min_length
 from .errors import BudgetExceeded
-from .fields import make_field, sphere_volume
+from .fields import kernel_basis, make_field, sphere_volume
 from .instances import (
     generalized_independence_number,
     odd_cycle_instance,
 )
 from .search import min_length_search, projective_reps
 
-# published shortest-length values used at sizes our search cannot reach
-CITED_TABLE = {
-    (2, 2, 5): 8,
-    (2, 3, 5): 10,
-    (2, 10, 3): 14,
-    (2, 17, 3): 22,
-}
-
-SEARCH_POINT_CAP = 400  # projective points allowed in a table search
+SEARCH_POINT_CAP = 400  # projective points a search may take as columns
 
 
 def gv_upper(q, k, d):
@@ -53,6 +47,11 @@ def gv_upper(q, k, d):
 
 def singleton_lower(k, d):
     return k + d - 1
+
+
+def griesmer_lower(q, k, d):
+    """Griesmer: an [N,k,d]_q code has N >= sum_{i<k} ceil(d / q^i)."""
+    return sum(-(-d // q ** i) for i in range(k))
 
 
 def rs_generator(field, k, n):
@@ -82,14 +81,20 @@ class CodeTableEntry:
     k: int
     d: int
     N: int | None
-    provenance: str          # table | trivial | repetition | mds | search | bracket
+    provenance: str          # trivial | repetition | mds | hamming | search | bracket
     generator: np.ndarray | None
-    bracket: tuple | None    # (lower, gv) when N is unknown
+    bracket: tuple | None    # (lower, gv) from a bracket or a length cap
     nodes: int
     refuted: dict
 
+    def __post_init__(self):
+        if self.N is None and self.bracket[0] == self.bracket[1]:
+            self.N = self.bracket[0]   # the two ends meet: N is proved
 
-def _search_nq(field, k, d, n_max, workers, budget):
+
+def _search_entry(field, k, d, n_max, workers, budget):
+    """The search's entry; when every length up to n_max is refuted, the
+    bracket starts above n_max."""
     columns = projective_reps(field, k)
     if len(columns) > SEARCH_POINT_CAP:
         raise BudgetExceeded(
@@ -98,49 +103,34 @@ def _search_nq(field, k, d, n_max, workers, budget):
                             workers=workers, budget=budget)
     G = None if res.n_opt is None else np.array(
         [columns[t] for t in res.solution], dtype=np.int64).T.copy()
-    return res.n_opt, G, res.nodes, res.refuted
-
-
-def _search_entry(field, k, d, n_max, workers, budget):
-    """The search's entry; when every length up to n_max is refuted, N is
-    None and the bracket starts above n_max."""
-    n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
-    bracket = None if n is not None else (
+    bracket = None if res.n_opt is not None else (
         max(n_max + 1, singleton_lower(k, d)), gv_upper(field.q, k, d))
-    return CodeTableEntry(field.q, k, d, n, "search", G, bracket, nodes,
-                          refuted)
+    return CodeTableEntry(field.q, k, d, res.n_opt, "search", G, bracket,
+                          res.nodes, res.refuted)
 
 
-def _table_generator(field, k, d, N, n_max, workers, budget):
-    n, G, nodes, refuted = _search_nq(field, k, d, n_max, workers, budget)
-    if n is None:
-        raise BudgetExceeded(f"no [N,{k},>={d}] code found up to N={n_max}")
-    if n != N:
-        raise RuntimeError(
-            f"search found N={n}, table says {N}: table is wrong")
-    return G, nodes, refuted
+def _hamming_entry(field, k):
+    """N_q[k,3]: the least N with (q^(N-k) - 1)/(q - 1) >= N (sphere
+    packing), met by a shortened Hamming code whose parity check holds the
+    first N projective points of F_q^(N-k).  Minimality puts a point with
+    first coordinate 1 among them, so the check has full rank."""
+    q, N = field.q, k + 1
+    while (q ** (N - k) - 1) // (q - 1) < N:
+        N += 1
+    H = np.array(projective_reps(field, N - k)[:N], dtype=np.int64).T
+    return CodeTableEntry(q, k, 3, N, "hamming", kernel_basis(field, H),
+                          None, 0, {})
 
 
-def nq_kd(q, k, d, mode="auto", need_generator=False,
-          n_max=None, workers=1, budget=50_000_000):
+def nq_kd(q, k, d, mode="auto", n_max=None, workers=1, budget=50_000_000):
     """Shortest linear-code length for (q, k, d); see module docstring."""
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
-    if mode not in ("auto", "table", "search"):
+    if mode not in ("auto", "search"):
         raise ValueError(f"unknown mode {mode!r}")
     field = make_field(q)
     if n_max is None:
         n_max = gv_upper(q, k, d)
-
-    if mode == "table":
-        N = CITED_TABLE.get((q, k, d))
-        if N is None:
-            raise KeyError(f"no table entry for {(q, k, d)}")
-        entry = CodeTableEntry(q, k, d, N, "table", None, None, 0, {})
-        if need_generator:
-            entry.generator, entry.nodes, entry.refuted = _table_generator(
-                field, k, d, N, n_max, workers, budget)
-        return entry
 
     if mode == "search":
         return _search_entry(field, k, d, n_max, workers, budget)
@@ -152,21 +142,12 @@ def nq_kd(q, k, d, mode="auto", need_generator=False,
     if k == 1:
         return CodeTableEntry(q, k, d, d, "repetition",
                               np.ones((1, d), dtype=np.int64), None, 0, {})
-    if (q, k, d) in CITED_TABLE:
-        entry = CodeTableEntry(q, k, d, CITED_TABLE[(q, k, d)], "table",
-                               None, None, 0, {})
-        if need_generator:
-            try:
-                entry.generator, entry.nodes, entry.refuted = \
-                    _table_generator(field, k, d, entry.N, n_max, workers,
-                                     budget)
-            except BudgetExceeded:
-                return entry
-        return entry
     if q >= k + d - 2:
         N = k + d - 1
         return CodeTableEntry(q, k, d, N, "mds",
                               rs_generator(field, k, N), None, 0, {})
+    if d == 3 and (q ** k - 1) // (q - 1) > SEARCH_POINT_CAP:
+        return _hamming_entry(field, k)
     try:
         return _search_entry(field, k, d, n_max, workers, budget)
     except BudgetExceeded:

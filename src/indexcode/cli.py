@@ -214,9 +214,8 @@ def cmd_construct(args):
         w = codes.min_rank(inst, field)
         entry = bounds_mod.nq_kd(field.q, w.kappa, 2 * args.delta + 1,
                                  workers=args.workers, budget=budget)
-        if entry.N is None:
-            raise ValueError("cannot infer --max-n; pass it explicitly")
-        n_max = entry.N
+        # without N, the bracket's upper end is Varshamov's guaranteed length
+        n_max = entry.N if entry.N is not None else entry.bracket[1]
     rep = codes.search_min_length(inst, field, args.delta, n_max,
                                   workers=args.workers, budget=budget)
     payload = {"n_opt": rep.n_opt, "certified": rep.certified,
@@ -355,8 +354,8 @@ def cmd_nqkd(args):
              f"provenance: {entry.provenance}"]
     if entry.bracket is not None:
         lines.append(f"bracket: {entry.bracket[0]}..{entry.bracket[1]}")
-    if entry.N is None and entry.refuted:
-        lines.append(f"refuted lengths: {sorted(entry.refuted)}")
+        if entry.refuted:
+            lines.append(f"refuted lengths: {sorted(entry.refuted)}")
     _emit(args, entry, lines)
     if entry.N is not None:
         return OK
@@ -506,7 +505,7 @@ def build_parser():
     n.add_argument("--q", type=int, required=True)
     n.add_argument("--k", type=int, required=True)
     n.add_argument("--d", type=int, required=True)
-    n.add_argument("--mode", choices=("auto", "table", "search"),
+    n.add_argument("--mode", choices=("auto", "search"),
                    default="auto")
     n.add_argument("--max-n", type=_int_at_least(1), dest="max_n",
                    default=None)

@@ -287,7 +287,7 @@ def construct_lift(inst, field, delta, B, outer=None):
     entry = None
     if outer is None:
         from .bounds import nq_kd
-        entry = nq_kd(field.q, B.shape[1], 2 * delta + 1, need_generator=True)
+        entry = nq_kd(field.q, B.shape[1], 2 * delta + 1)
         if entry.generator is None:
             raise BudgetExceeded(
                 "no outer generator available; pass one explicitly")

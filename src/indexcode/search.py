@@ -3,11 +3,11 @@
 Shared kernel: given a set of target vectors and a required count d, find the
 shortest multiset of nonzero columns such that every target has a nonzero
 inner product with at least d of them.  Both the optimal-code search for an
-instance and the short-code table search reduce to this, because scaling a
-column (or a target) never changes whether an inner product is zero; columns
-are therefore enumerated as projective representatives (first nonzero
-coordinate 1) in ascending lexicographic order, and the first solution found
-is the lexicographically least certificate.
+instance and the shortest-code search for N_q[k,d] reduce to this, because
+scaling a column (or a target) never changes whether an inner product is
+zero; columns are therefore enumerated as projective representatives (first
+nonzero coordinate 1) in ascending lexicographic order, and the first
+solution found is the lexicographically least certificate.
 
 Refutations are exhaustive: a length is declared infeasible only after the
 whole (pruned) multiset tree is exhausted.  The pruning rules are exact for
@@ -215,6 +215,8 @@ def min_length_search(field, columns, targets, d, n_max,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if len(columns) == 0:
+        raise ValueError("need at least one column")
     if len(targets) == 0:
         raise ValueError("need at least one target")
     masks = build_hits(field, columns, targets)

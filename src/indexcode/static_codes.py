@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import CodeTableEntry, nq_kd
+from .bounds import SEARCH_POINT_CAP, CodeTableEntry, griesmer_lower, nq_kd
 from .errors import BudgetExceeded
 from .fields import (check_matrix, make_field, rank, span_matrix,
                      sparse_vectors, sphere_volume, support_vectors)
@@ -33,12 +33,6 @@ PARITY_NODE_BUDGET = 2_000_000  # DFS extensions in the parity-check search
 GREEDY_WORK_CAP = 1 << 24       # candidate*combination pairs per greedy step
 RESILIENCE_BUDGET = 1 << 24     # (rho-subsets) x (fixings) x inputs counted
 RECEIVER_CAP = 4096             # receivers a canonical instance may spell out
-
-# Shortest-existence values quoted from published code tables; these sit far
-# beyond what the exhaustive parity-check search can certify.
-RHO_STAR_TABLE = {
-    (20, 10, 2): 17,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +175,48 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
     return np.stack(chosen, axis=1) if found else None
 
 
-def _rho_star_details(n, rho, q, mode="auto", budget=PARITY_NODE_BUDGET):
+def _dual_rho_star(n, rho, q, budget):
+    """rho* = n - max{k : N_q[k, rho+1] <= n}: an N x n parity check with
+    every <= rho columns independent is one of an [n, n-N] code of distance
+    > rho.  Scans k = 1, 2, ... up to the first k that Griesmer or a search
+    capped at length n rules out; a search budget stop raises."""
+    k = 1
+    while griesmer_lower(q, k, rho + 1) <= n:
+        e = nq_kd(q, k, rho + 1, n_max=n, budget=budget)
+        if e.N is None and e.provenance == "bracket":
+            raise BudgetExceeded(
+                f"N_{q}[{k},{rho + 1}] is open: bracket {e.bracket}")
+        if e.N is None or e.N > n:
+            break
+        k += 1
+    return n - (k - 1)
+
+
+def _rho_star_details(n, rho, q, budget=PARITY_NODE_BUDGET):
     """(value, provenance, parity check or None) behind rho_star."""
     if not 1 <= rho <= n:
         raise ValueError(f"need 1 <= rho <= n, got rho={rho} n={n}")
-    if mode not in ("auto", "table", "search"):
-        raise ValueError(f"unknown mode {mode!r}")
     field = make_field(q)
-    if mode in ("auto", "table") and (n, rho, q) in RHO_STAR_TABLE:
-        return RHO_STAR_TABLE[(n, rho, q)], "table", None
-    if mode == "table":
-        raise KeyError(f"no table entry for {(n, rho, q)}")
-    if mode == "auto" and q >= n - 1:
+    if q >= n - 1:
         # a doubly-extended Reed-Solomon parity check reaches the Singleton
         # floor whenever the field is at least as large as n - 1
         return rho, "mds", None
     for N in range(rho, n + 1):
+        if (q ** N - 1) // (q - 1) > SEARCH_POINT_CAP:
+            # too many candidate columns: answer from the dual side
+            return _dual_rho_star(n, rho, q, budget), "dual", None
         H = find_parity_check(field, n, rho, N, budget=budget)
         if H is not None:
             return N, "search", H
     raise RuntimeError("identity columns must succeed at N=n")  # pragma: no cover
 
 
-def rho_star(n, rho, q, mode="auto", budget=PARITY_NODE_BUDGET):
+def rho_star(n, rho, q, budget=PARITY_NODE_BUDGET):
     """Fewest rows N of a parity check on n columns forcing every <= rho
     columns independent (equivalently: minimal N with an [n, n-N] code of
     distance > rho).  This is also the min-rank of canonical_instance(n, rho).
     """
-    value, _, _ = _rho_star_details(n, rho, q, mode=mode, budget=budget)
+    value, _, _ = _rho_star_details(n, rho, q, budget=budget)
     return value
 
 
@@ -224,7 +232,7 @@ class StaticReport:
     delta: int
     q: int
     rho_star: int | None
-    rho_star_provenance: str         # table | mds | search | unavailable
+    rho_star_provenance: str         # mds | search | dual | unavailable
     lower_alpha: int | None          # shortest length at dimension rho
     lower_singleton: int | None      # rho_star + 2*delta
     upper: int | None                # shortest length at dimension rho_star

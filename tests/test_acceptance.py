@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from indexcode.bounds import CITED_TABLE, bound_report, nq_kd
+from indexcode.bounds import bound_report, nq_kd
 from indexcode.codes import (
     check_certificate,
     construct_concat,
@@ -127,14 +127,14 @@ def test_shortest_length_table_rederived_by_search():
     F2 = make_field(2)
 
     e = nq_kd(2, 2, 5, mode="search")
-    assert e.N == CITED_TABLE[(2, 2, 5)] == 8
+    assert e.N == 8
     assert set(e.refuted) == {5, 6, 7}
     ws = [weight(F2.matmul(np.array(c)[None, :], e.generator)[0])
           for c in itertools.product(range(2), repeat=2) if any(c)]
     assert min(ws) >= 5
 
     e = nq_kd(2, 3, 5, mode="search")
-    assert e.N == CITED_TABLE[(2, 3, 5)] == 10
+    assert e.N == 10
     assert set(e.refuted) == {5, 6, 7, 8, 9}
     ws = [weight(F2.matmul(np.array(c)[None, :], e.generator)[0])
           for c in itertools.product(range(2), repeat=3) if any(c)]
@@ -243,10 +243,11 @@ def test_static_family_suite(F2):
                 b, _ = verify_rho_delta(F2, L, rho, delta)
                 assert a == b
 
-    # the published large-family bracket, straight off the shipped table
+    # the published large-family bracket, proved: rho* by the dual route,
+    # both shortest lengths by Hamming's bound
     rep = static_bounds(20, 10, 1, 2)
     assert (rep.lower_alpha, rep.lower_singleton, rep.upper) == (14, 19, 22)
-    assert rep.rho_star == 17 and rep.rho_star_provenance == "table"
+    assert rep.rho_star == 17 and rep.rho_star_provenance == "dual"
 
     assert time.time() - t0 < 300.0
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from indexcode.bounds import (
-    CITED_TABLE,
+    _hamming_entry,
     bound_report,
+    griesmer_lower,
     gv_upper,
     nq_kd,
     odd_cycle_comparison,
@@ -17,7 +18,17 @@ from indexcode.bounds import (
 )
 from indexcode.codes import verify
 from indexcode.errors import BudgetExceeded
-from indexcode.fields import make_field, weight
+from indexcode.fields import kernel_basis, make_field, rank, weight
+from indexcode.search import projective_index
+
+# shortest lengths quoted from published code tables; the package proves
+# each one, by search or by Hamming's bound
+CITED_TABLE = {
+    (2, 2, 5): 8,
+    (2, 3, 5): 10,
+    (2, 10, 3): 14,
+    (2, 17, 3): 22,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +63,20 @@ def test_singleton_lower():
     assert singleton_lower(17, 3) == 19
 
 
+def test_griesmer_lower():
+    assert griesmer_lower(2, 2, 5) == 8      # tight: N_2[2,5] = 8
+    assert griesmer_lower(2, 3, 5) == 10     # tight: N_2[3,5] = 10
+    assert griesmer_lower(2, 4, 11) == 22
+    assert griesmer_lower(5, 1, 4) == 4      # repetition
+    for q, k, d in [(2, 2, 3), (2, 4, 5), (3, 2, 3), (3, 3, 4), (4, 2, 4)]:
+        assert singleton_lower(k, d) <= griesmer_lower(q, k, d) \
+            <= nq_kd(q, k, d).N
+
+
 def test_cited_table_inside_brackets():
     for (q, k, d), N in CITED_TABLE.items():
-        assert singleton_lower(k, d) <= N <= gv_upper(q, k, d)
+        assert max(singleton_lower(k, d), griesmer_lower(q, k, d)) <= N \
+            <= gv_upper(q, k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +93,15 @@ def _min_distance(field, G):
         w = weight(field.matmul(np.array(coeffs)[None, :], G)[0])
         best = w if best is None else min(best, w)
     return best
+
+
+def _distance_at_least_3(field, G):
+    """G has full rank and no codeword of weight 1 or 2: the columns of a
+    parity check are nonzero and pairwise independent."""
+    H = kernel_basis(field, G)
+    cols = H.T
+    return (rank(field, G) == G.shape[0] and cols.any(axis=1).all()
+            and len(set(projective_index(field, cols).tolist())) == len(cols))
 
 
 def test_rs_generator_exhaustive_distance():
@@ -103,15 +134,31 @@ def test_nqkd_trivial_and_repetition():
     assert np.array_equal(e.generator, np.ones((1, 7), dtype=np.int64))
 
 
-def test_nqkd_table_hit():
-    e = nq_kd(2, 2, 5)
-    assert (e.N, e.provenance) == (8, "table")
-    assert e.generator is None
+def test_nqkd_auto_proves_cited_values():
+    F2 = make_field(2)
+    for k, nodes in [(2, 14), (3, 803)]:
+        e = nq_kd(2, k, 5)
+        assert (e.N, e.provenance, e.nodes) == (CITED_TABLE[(2, k, 5)],
+                                                "search", nodes)
+        assert e.generator.shape == (k, e.N)
+        assert _min_distance(F2, e.generator) >= 5
+        assert set(e.refuted) == set(range(5, e.N))
+    for k in (10, 17):
+        e = nq_kd(2, k, 3)
+        assert (e.N, e.provenance) == (CITED_TABLE[(2, k, 3)], "hamming")
+        assert e.generator.shape == (k, e.N)
+        assert _distance_at_least_3(F2, e.generator)
 
 
-def test_nqkd_table_mode_missing_key():
-    with pytest.raises(KeyError):
-        nq_kd(2, 4, 3, mode="table")
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                  (3, 4), (4, 2), (4, 3), (5, 2)])
+def test_hamming_length_matches_search(q, k):
+    # below the point cap the auto mode searches; the closed form agrees
+    field = make_field(q)
+    e = _hamming_entry(field, k)
+    assert e.N == nq_kd(q, k, 3, mode="search").N
+    assert e.generator.shape == (k, e.N)
+    assert _distance_at_least_3(field, e.generator)
 
 
 def test_nqkd_mds():
@@ -137,29 +184,27 @@ def test_nqkd_search_rederives_table_value():
     assert set(e.refuted) == {5, 6, 7}
 
 
-def test_nqkd_table_with_generator_cross_validates():
-    e = nq_kd(2, 2, 5, need_generator=True)
-    assert e.provenance == "table" and e.N == 8
-    F2 = make_field(2)
-    assert _min_distance(F2, e.generator) >= 5
-
-
 def test_nqkd_bracket_fallback():
-    e = nq_kd(2, 12, 3)
+    e = nq_kd(2, 9, 5)       # 511 projective points: past the search's cap
     assert e.N is None and e.provenance == "bracket"
-    assert e.bracket == (14, 17)
+    assert e.bracket == (13, 19)
     assert e.generator is None
 
 
 def test_nqkd_length_cap_is_a_search_result():
-    # N = 3, 4, 5 are refuted exhaustively, so N >= 6 is proved: the entry
-    # keeps the search's work instead of degrading to an open bracket
+    # N = 3, 4, 5 are refuted exhaustively, so N >= 6 is proved, and
+    # Varshamov guarantees a [6,3,>=3] code: the closed bracket proves N = 6
+    # and the entry keeps the search's work (but has no generator)
     e = nq_kd(2, 3, 3, n_max=5)
-    assert (e.N, e.provenance, e.bracket) == (None, "search", (6, 6))
+    assert (e.N, e.provenance, e.bracket) == (6, "search", (6, 6))
     assert (e.nodes, e.refuted, e.generator) == (14, {3: 0, 4: 7, 5: 7}, None)
     e = nq_kd(2, 3, 3, mode="search", n_max=5)
-    assert (e.N, e.provenance, e.bracket, e.nodes) == (None, "search",
+    assert (e.N, e.provenance, e.bracket, e.nodes) == (6, "search",
                                                        (6, 6), 14)
+    # a cap one lower leaves the bracket open
+    e = nq_kd(2, 3, 3, n_max=4)
+    assert (e.N, e.provenance, e.bracket) == (None, "search", (5, 6))
+    assert (e.refuted, e.generator) == ({3: 0, 4: 7}, None)
 
 
 def test_nqkd_budget_stop_is_an_open_bracket():
@@ -177,6 +222,8 @@ def test_nqkd_validation():
         nq_kd(2, 2, 0)
     with pytest.raises(ValueError):
         nq_kd(2, 2, 3, mode="guess")
+    with pytest.raises(ValueError):
+        nq_kd(2, 4, 3, mode="table")
 
 
 # ---------------------------------------------------------------------------

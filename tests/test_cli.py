@@ -300,10 +300,13 @@ def test_static_resilience_rejects_nonbinary(files, capsys, F3, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_nqkd_table(files, capsys):
+def test_nqkd_auto_proves_cited_values(files, capsys):
     assert main(["nqkd", "--q", "2", "--k", "2", "--d", "5"]) == OK
     out = capsys.readouterr().out
-    assert "GF(2): 8" in out and "provenance: table" in out
+    assert "GF(2): 8" in out and "provenance: search" in out
+    assert main(["nqkd", "--q", "2", "--k", "10", "--d", "3"]) == OK
+    out = capsys.readouterr().out
+    assert "GF(2): 14" in out and "provenance: hamming" in out
 
 
 def test_nqkd_search_json(files, capsys):
@@ -316,16 +319,23 @@ def test_nqkd_search_json(files, capsys):
 
 def test_nqkd_unknown_is_budget_exit(files, capsys):
     # auto mode falls back to an open bracket: no exact answer available
-    assert main(["nqkd", "--q", "2", "--k", "12", "--d", "3"]) == BUDGET
+    assert main(["nqkd", "--q", "2", "--k", "9", "--d", "5"]) == BUDGET
+    assert "bracket: 13..19" in capsys.readouterr().out
 
 
 def test_nqkd_length_cap_is_fail(files, capsys):
     # every length up to --max-n is refuted: a proved answer, as for
     # construct search, not a budget stop
     assert main(["nqkd", "--q", "2", "--k", "3", "--d", "3",
-                 "--max-n", "5"]) == FAIL
+                 "--max-n", "4"]) == FAIL
     out = capsys.readouterr().out
-    assert "provenance: search" in out and "bracket: 6..6" in out
+    assert "provenance: search" in out and "bracket: 5..6" in out
+    assert "refuted lengths: [3, 4]" in out
+    # one length more closes the bracket: Varshamov's 6 is then the answer
+    assert main(["nqkd", "--q", "2", "--k", "3", "--d", "3",
+                 "--max-n", "5"]) == OK
+    out = capsys.readouterr().out
+    assert "GF(2): 6" in out and "bracket: 6..6" in out
     assert "refuted lengths: [3, 4, 5]" in out
 
 
@@ -341,8 +351,11 @@ def test_missing_file_is_usage_error(files, capsys):
 
 
 def test_table_mode_miss_is_usage_error(files, capsys):
-    assert main(["nqkd", "--q", "2", "--k", "4", "--d", "3",
-                 "--mode", "table"]) == USAGE
+    # argparse rejects a mode it does not offer
+    with pytest.raises(SystemExit) as exc:
+        main(["nqkd", "--q", "2", "--k", "4", "--d", "3", "--mode", "table"])
+    assert exc.value.code == USAGE
+    assert "invalid choice: 'table'" in capsys.readouterr().err
 
 
 def test_argparse_usage_error_raises_systemexit(files):

@@ -180,6 +180,8 @@ def test_search_rejects_bad_counts(F2, pentagon):
         min_length_search(F2, columns, columns, 0, 3)
     with pytest.raises(ValueError, match="at least one target"):
         min_length_search(F2, columns, [], 1, 3)
+    with pytest.raises(ValueError, match="at least one column"):
+        min_length_search(F2, [], columns, 1, 3)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         search_min_length(pentagon, F2, -1, 3)
 

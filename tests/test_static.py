@@ -11,7 +11,9 @@ from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field, rank, weight
 from indexcode.instances import iter_J, make_instance
 from indexcode.static_codes import (
+    PARITY_NODE_BUDGET,
     StaticFamily,
+    _dual_rho_star,
     canonical_instance,
     find_parity_check,
     gv_greedy,
@@ -244,7 +246,7 @@ def test_property_holders_serve_every_family_member(F2):
 
 
 def test_rho_star_goldens():
-    assert rho_star(20, 10, 2) == 17           # table value
+    assert rho_star(20, 10, 2) == 17           # by the dual route
     assert rho_star(5, 3, 7) == 3              # q >= n-1: floor is reached
     assert rho_star(4, 2, 2) == 3              # binary gap above the floor
     assert rho_star(4, 4, 2) == 4
@@ -252,13 +254,29 @@ def test_rho_star_goldens():
     assert rho_star(5, 2, 2) == 3
 
 
-def test_rho_star_modes():
-    with pytest.raises(KeyError):
-        rho_star(4, 2, 2, mode="table")
-    assert rho_star(20, 10, 2, mode="table") == 17
+def test_rho_star_mds_agrees_with_parity_search():
     # the large-field closed form agrees with explicit search
-    assert rho_star(4, 2, 5, mode="search") == 2
-    assert rho_star(4, 3, 5, mode="search") == 3
+    F5 = make_field(5)
+    assert rho_star(4, 2, 5) == 2
+    assert find_parity_check(F5, 4, 2, 1) is None
+    assert find_parity_check(F5, 4, 2, 2) is not None
+    assert rho_star(4, 3, 5) == 3
+    assert find_parity_check(F5, 4, 3, 2) is None
+    assert find_parity_check(F5, 4, 3, 3) is not None
+
+
+def _parity_rho_star(field, n, rho):
+    return next(N for N in range(rho, n + 1)
+                if find_parity_check(field, n, rho, N) is not None)
+
+
+@pytest.mark.parametrize("q, n_top", [(2, 6), (3, 5)])
+def test_dual_rho_star_agrees_with_parity_search(q, n_top):
+    field = make_field(q)
+    for n in range(1, n_top + 1):
+        for rho in range(1, n + 1):
+            assert _dual_rho_star(n, rho, q, PARITY_NODE_BUDGET) == \
+                _parity_rho_star(field, n, rho), (n, rho)
 
 
 def test_rho_star_bounds_and_degenerate_top():
@@ -311,13 +329,17 @@ def test_find_parity_check_pinned(q, n, rho, N, want):
 
 def test_static_bounds_large_binary_family():
     rep = static_bounds(20, 10, 1, 2)
-    assert rep.rho_star == 17 and rep.rho_star_provenance == "table"
+    assert rep.rho_star == 17 and rep.rho_star_provenance == "dual"
     assert rep.lower_alpha == 14
     assert rep.lower_singleton == 19
     assert rep.upper == 22
     assert rep.exact is None
-    assert rep.alpha_entry.provenance == "table"
-    assert rep.upper_entry.provenance == "table"
+    assert rep.alpha_entry.provenance == "hamming"
+    assert rep.upper_entry.provenance == "hamming"
+    # a budget too small for the dual route's searches leaves rho* open
+    rep = static_bounds(20, 10, 1, 2, budget=100)
+    assert (rep.rho_star, rep.rho_star_provenance) == (None, "unavailable")
+    assert rep.upper is None and rep.lower_alpha == 14
 
 
 def test_static_bounds_exact_on_large_field():
