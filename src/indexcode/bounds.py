@@ -92,15 +92,15 @@ class CodeTableEntry:
             self.N = self.bracket[0]   # the two ends meet: N is proved
 
 
-def _search_entry(field, k, d, n_max, workers, budget):
+def _search_entry(field, k, d, n_max, budget):
     """The search's entry; when every length up to n_max is refuted, the
-    bracket starts above n_max."""
+    bracket starts above n_max.  The cap is checked on the count, before
+    any point is listed."""
+    points = (field.q ** k - 1) // (field.q - 1)
+    if points > SEARCH_POINT_CAP:
+        raise BudgetExceeded(f"{points} projective points exceed search cap")
     columns = projective_reps(field, k)
-    if len(columns) > SEARCH_POINT_CAP:
-        raise BudgetExceeded(
-            f"{len(columns)} projective points exceed search cap")
-    res = min_length_search(field, columns, columns, d, n_max,
-                            workers=workers, budget=budget)
+    res = min_length_search(field, columns, columns, d, n_max, budget=budget)
     G = None if res.n_opt is None else np.array(
         [columns[t] for t in res.solution], dtype=np.int64).T.copy()
     bracket = None if res.n_opt is not None else (
@@ -124,6 +124,9 @@ def _hamming_entry(field, k):
 
 def nq_kd(q, k, d, mode="auto", n_max=None, workers=1, budget=50_000_000):
     """Shortest linear-code length for (q, k, d); see module docstring."""
+    # workers=1 is still accepted only because the benchmark passes it
+    if workers != 1:
+        raise ValueError("the search runs in one process: workers must be 1")
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
     if mode not in ("auto", "search"):
@@ -133,7 +136,7 @@ def nq_kd(q, k, d, mode="auto", n_max=None, workers=1, budget=50_000_000):
         n_max = gv_upper(q, k, d)
 
     if mode == "search":
-        return _search_entry(field, k, d, n_max, workers, budget)
+        return _search_entry(field, k, d, n_max, budget)
 
     # auto
     if d == 1:
@@ -149,7 +152,7 @@ def nq_kd(q, k, d, mode="auto", n_max=None, workers=1, budget=50_000_000):
     if d == 3 and (q ** k - 1) // (q - 1) > SEARCH_POINT_CAP:
         return _hamming_entry(field, k)
     try:
-        return _search_entry(field, k, d, n_max, workers, budget)
+        return _search_entry(field, k, d, n_max, budget)
     except BudgetExceeded:
         return CodeTableEntry(q, k, d, None, "bracket", None,
                               (singleton_lower(k, d), gv_upper(q, k, d)),
@@ -177,11 +180,14 @@ class BoundReport:
 
 
 def bound_report(inst, field, delta, workers=1, budget=50_000_000):
+    # workers=1 is still accepted only because the benchmark passes it
+    if workers != 1:
+        raise ValueError("the search runs in one process: workers must be 1")
     alpha, wit = generalized_independence_number(inst)
     w = min_rank(inst, field)
     d = 2 * delta + 1
-    alpha_entry = nq_kd(field.q, alpha, d, workers=workers, budget=budget)
-    kappa_entry = nq_kd(field.q, w.kappa, d, workers=workers, budget=budget)
+    alpha_entry = nq_kd(field.q, alpha, d, budget=budget)
+    kappa_entry = nq_kd(field.q, w.kappa, d, budget=budget)
     singleton = w.kappa + 2 * delta
     mds_exact = singleton if field.q >= w.kappa + 2 * delta - 1 else None
     return BoundReport(
@@ -203,14 +209,14 @@ class OddCycleComparison:
     alpha_bound_wins: bool | None
 
 
-def odd_cycle_comparison(l, delta, workers=1, budget=50_000_000):
+def odd_cycle_comparison(l, delta, budget=50_000_000):
     """For odd cycles the independence-number bound beats Singleton once
     delta > 0, because no nontrivial binary MDS code exists."""
     inst = odd_cycle_instance(l)
     F2 = make_field(2)
     alpha, _ = generalized_independence_number(inst)
     w = min_rank(inst, F2)
-    entry = nq_kd(2, alpha, 2 * delta + 1, workers=workers, budget=budget)
+    entry = nq_kd(2, alpha, 2 * delta + 1, budget=budget)
     singleton = w.kappa + 2 * delta
     wins = None if entry.N is None else entry.N >= singleton
     return OddCycleComparison(l=l, delta=delta, alpha=alpha, kappa=w.kappa,

@@ -101,7 +101,7 @@ def _strip(inst, field, L, view):
     out = y
     for j, v in view.side:
         if v:
-            out = field.sub_arr(out, field.scale(v, L[j]))
+            out = field.sub_arr(out, field.mul_arr(v, L[j]))
     return out
 
 

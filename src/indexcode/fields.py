@@ -165,26 +165,16 @@ class Field:
     # -- scalar ops --------------------------------------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        if self._xor:
-            return int(a ^ b)
-        return int(self._add[a, b])
+        return int(self.add_arr(a, b))
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        if self._xor:
-            return int(a)
-        return int(self._neg[a])
+        return int(self.sub_arr(0, a))
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return int(self.sub_arr(a, b))
 
     def mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        return int(self._mul[a, b])
+        return int(self.mul_arr(a, b))
 
     def inv(self, a):
         if not 0 <= a < self.q:
@@ -218,12 +208,6 @@ class Field:
         """Inverse of each code in a, with 0 mapped to 0."""
         return self._inv[a]
 
-    def scale(self, c, a):
-        """c * a for scalar code c and array a."""
-        if self.e == 1:
-            return (c * a) % self.p
-        return self._mul[c, a]
-
     def _reduce_add(self, m, axis):
         """Sum of codes along an axis."""
         if self.e == 1:
@@ -242,9 +226,7 @@ class Field:
     def dot(self, u, v):
         if len(u) == 0:
             return 0
-        if self.e == 1:
-            return int(np.dot(u, v) % self.p)
-        return int(self._reduce_add(self._mul[u, v], axis=0))
+        return int(self._reduce_add(self.mul_arr(u, v), axis=0))
 
     def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
@@ -323,7 +305,7 @@ def rref(field, A):
             R[[r, pr]] = R[[pr, r]]
         piv = int(R[r, c])
         if piv != 1:
-            R[r] = field.scale(field.inv(piv), R[r])
+            R[r] = field.mul_arr(field.inv(piv), R[r])
         f = R[:, c].copy()
         f[r] = 0
         R = field.sub_arr(R, field.mul_arr(f[:, None], R[r][None, :]))
@@ -341,8 +323,8 @@ def _kernel_from_rref(field, R, pivots, cols):
     free = [c for c in range(cols) if c not in pivots]
     out = np.zeros((len(free), cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = field.scale(field.neg(1),
-                                 R[:len(pivots)][:, free].T)
+    out[:, pivots] = field.mul_arr(field.neg(1),
+                                   R[:len(pivots)][:, free].T)
     return out
 
 
@@ -393,7 +375,7 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
             c = tt % field.q
             tt //= field.q
             if c:
-                x = field.add_arr(x, field.scale(c, ker[k]))
+                x = field.add_arr(x, field.mul_arr(c, ker[k]))
         yield x
 
 
@@ -487,7 +469,7 @@ def all_combinations(field, rows):
     rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros((1, rows.shape[1]), dtype=np.int64)
     for row in rows:
-        blocks = [out if c == 0 else field.add_arr(out, field.scale(c, row))
+        blocks = [out if c == 0 else field.add_arr(out, field.mul_arr(c, row))
                   for c in range(field.q)]
         out = np.concatenate(blocks, axis=0)
     return out

@@ -49,15 +49,15 @@ node: the parent looks for that u itself and counts that node.  Children
 test the types u >= t in a list of (u, masks[u]) for the types with a hit,
 built the first time some child takes t.  A child counts as a node, and
 meets the budget, when it is tested.
+
+The scan runs in one process, one length after another, and the budget caps
+the nodes of each length.  Node counts therefore depend only on the inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -110,16 +110,11 @@ class MinLengthResult:
     solution: tuple | None   # type indices into the column list
     nodes: int
     refuted: dict            # n -> nodes for each exhausted infeasible length
-    certified: bool          # refutations complete (budget never tripped)
 
 
-def _search_fixed_n(masks, nz, d, n, first_types, budget):
+def _search_fixed_n(masks, nz, d, n, budget):
     """DFS for one length n >= d; returns (solution, nodes), where the
-    solution is a non-decreasing tuple of column types or None.
-
-    first_types restricts the first column's type (worker partitioning);
-    recursion below the first level is unrestricted (>= chosen type).
-    """
+    solution is a non-decreasing tuple of column types or None."""
     T = len(masks)
     reach = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
@@ -191,7 +186,7 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
     full = (1 << nz) - 1
     tight = full if n == d else 0
     cands = [(t, masks[t], masks[t].bit_count())
-             for t in first_types if masks[t] and not tight & ~masks[t]]
+             for t in range(T) if masks[t] and not tight & ~masks[t]]
     live = [c for c in cands if reach[c[0]] == full]
     try:
         return dfs([full] * d + [0], d * nz, n, live,
@@ -200,18 +195,16 @@ def _search_fixed_n(masks, nz, d, n, first_types, budget):
         del dfs  # dfs names itself through a cell: break the cycle now
 
 
-def min_length_search(field, columns, targets, d, n_max,
-                      workers=1, budget=50_000_000):
-    """Scan lengths d, d+1, ... up to n_max; see module docstring.
+def min_length_search(field, columns, targets, d, n_max, budget=50_000_000):
+    """Scan lengths d, d+1, ... up to n_max in one process; see module
+    docstring.
 
     columns: candidate column vectors (projective reps, ascending).
     targets: the vectors that must each be hit at least d times (d >= 1).
-    With workers > 1 one process pool serves the whole scan; each length
-    splits the first column's type round-robin over the workers.
 
-    budget caps the nodes of each length (of each worker's share when
-    workers > 1), not of the scan.  A stop raises BudgetExceeded with
-    refuted (length -> nodes) for the lengths exhausted before it.
+    budget caps the nodes of each length, not of the scan.  A stop raises
+    BudgetExceeded with refuted (length -> nodes) for the lengths exhausted
+    before it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -221,27 +214,18 @@ def min_length_search(field, columns, targets, d, n_max,
         raise ValueError("need at least one target")
     masks = build_hits(field, columns, targets)
     nz = len(targets)
-    chunks = [c for c in (range(w, len(masks), workers)
-                          for w in range(workers)) if c]
     refuted = {}
     total_nodes = 0
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        for n in range(d, n_max + 1):
-            search = partial(_search_fixed_n, masks, nz, d, n, budget=budget)
-            try:
-                results = list(run(search, chunks))
-            except BudgetExceeded as exc:  # re-raised bare: binds no cycle
-                exc.refuted = refuted
-                exc.args = (f"{exc} at length {n}; lengths refuted before "
-                            f"the stop: {sorted(refuted)}",)
-                raise
-            sols = [s for s, _ in results if s is not None]
-            n_nodes = sum(nn for _, nn in results)
-            total_nodes += n_nodes
-            if sols:
-                return MinLengthResult(n, min(sols), total_nodes, refuted,
-                                       True)
-            refuted[n] = n_nodes
-    return MinLengthResult(None, None, total_nodes, refuted, True)
+    for n in range(d, n_max + 1):
+        try:
+            sol, n_nodes = _search_fixed_n(masks, nz, d, n, budget)
+        except BudgetExceeded as exc:  # re-raised bare: binds no cycle
+            exc.refuted = refuted
+            exc.args = (f"{exc} at length {n}; lengths refuted before "
+                        f"the stop: {sorted(refuted)}",)
+            raise
+        total_nodes += n_nodes
+        if sol is not None:
+            return MinLengthResult(n, sol, total_nodes, refuted)
+        refuted[n] = n_nodes
+    return MinLengthResult(None, None, total_nodes, refuted)

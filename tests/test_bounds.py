@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indexcode import bounds
 from indexcode.bounds import (
     _hamming_entry,
     bound_report,
@@ -213,6 +214,25 @@ def test_nqkd_budget_stop_is_an_open_bracket():
     assert e.bracket == (singleton_lower(4, 5), gv_upper(2, 4, 5))
     with pytest.raises(BudgetExceeded):
         nq_kd(2, 4, 5, mode="search", budget=100)
+
+
+def test_nqkd_cap_is_checked_before_listing_points(monkeypatch):
+    # 2^20 - 1 projective points: the cap must refuse them by count alone
+    def refuse(field, k):
+        raise AssertionError(f"listed the projective points of F_2^{k}")
+    monkeypatch.setattr(bounds, "projective_reps", refuse)
+    e = nq_kd(2, 20, 5)
+    assert (e.provenance, e.bracket, e.nodes) == ("bracket", (24, 33), 0)
+
+
+def test_search_callers_take_only_one_worker(F2, ring5):
+    assert nq_kd(2, 3, 3, workers=1).N == 6
+    assert bound_report(ring5, F2, 0, workers=1).alpha_entry.N == 2
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            nq_kd(2, 3, 3, workers=workers)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            bound_report(ring5, F2, 0, workers=workers)
 
 
 def test_nqkd_validation():

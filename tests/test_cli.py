@@ -218,6 +218,31 @@ def test_simulate_clean_campaign(files, capsys):
     assert doc["successes"] == doc["trials"] == 200
 
 
+def test_simulate_workers_split_the_same_campaign(files, capsys):
+    tallies = []
+    for workers in ("1", "2"):
+        assert main(["simulate", "--instance", files["k3"], "--matrix",
+                     files["k3L"], "--delta", "1", "--trials", "200",
+                     "--seed", "2", "--workers", workers,
+                     "--format", "json"]) == OK
+        tallies.append(json.loads(capsys.readouterr().out))
+    assert tallies[0] == tallies[1] and tallies[1]["successes"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["nqkd", "--q", "2", "--k", "3", "--d", "3"],
+    ["bounds", "--instance", "k3"],
+    ["construct", "search", "--instance", "k3", "--delta", "1"],
+])
+def test_search_commands_take_no_workers(files, capsys, argv):
+    # the search is one process: only simulate splits work
+    argv = [files.get(a, a) for a in argv] + ["--workers", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_simulate_forced_weight_failure_exit(files, capsys):
     assert main(["simulate", "--instance", files["k3"], "--matrix",
                  files["k3L"], "--delta", "1", "--trials", "1",
@@ -367,9 +392,12 @@ def test_argparse_usage_error_raises_systemexit(files):
 @pytest.mark.parametrize("argv", [
     ["minrank", "--budget", "-1"],
     ["verify", "--matrix", "k3L", "--delta", "0", "--budget", "-1"],
-    ["minrank", "--workers", "0"],
-    ["verify", "--matrix", "k3L", "--delta", "0", "--workers", "0"],
-    ["construct", "search", "--delta", "1", "--workers", "-2"],
+    ["simulate", "--matrix", "k3L", "--delta", "0", "--trials", "1",
+     "--seed", "0", "--workers", "0"],
+    ["simulate", "--matrix", "k3L", "--delta", "0", "--trials", "1",
+     "--seed", "0", "--exhaustive", "--workers", "0"],
+    ["simulate", "--matrix", "k3L", "--delta", "1", "--trials", "1",
+     "--seed", "0", "--workers", "-2"],
     # counts below 1 used to run and report a false verdict: ok: False,
     # an empty refutation map, or a budget stop
     ["construct", "random", "--delta", "1", "--attempts", "-2"],

@@ -253,7 +253,7 @@ def _span_size_oracle(F, A):
     for coeffs in itertools.product(range(F.q), repeat=len(rows)):
         v = np.zeros(len(rows[0]), dtype=np.int64)
         for c, r in zip(coeffs, rows):
-            v = F.add_arr(v, F.scale(c, np.array(r, dtype=np.int64)))
+            v = F.add_arr(v, F.mul_arr(c, np.array(r, dtype=np.int64)))
         seen.add(tuple(int(x) for x in v))
     return len(seen)
 
@@ -497,7 +497,7 @@ def _oracle_cases(q, seed, count=25):
         A = rng.integers(0, q, size=(int(rng.integers(1, 4)),
                                      int(rng.integers(1, 5))))
         if len(A) > 1 and rng.integers(2):
-            A[-1] = F.scale(int(rng.integers(q)), A[0])
+            A[-1] = F.mul_arr(int(rng.integers(q)), A[0])
         yield F, A
 
 
@@ -561,8 +561,8 @@ def test_linear_algebra_seeded_digest():
                                        int(rng.integers(1, 7))))
         for j in range(1, len(A)):
             if rng.integers(3) == 0:  # a dependent row now and then
-                A[j] = F.add_arr(A[j - 1], F.scale(int(rng.integers(F.q)),
-                                                   A[0]))
+                A[j] = F.add_arr(A[j - 1], F.mul_arr(int(rng.integers(F.q)),
+                                                     A[0]))
         b = F.matvec(A, rng.integers(0, F.q, size=A.shape[1])) \
             if rng.integers(4) else rng.integers(0, F.q, size=len(A))
         R, piv = rref(F, A)

@@ -14,8 +14,8 @@ from indexcode.search import (min_length_search, projective_index,
                               projective_reps)
 from indexcode.static_codes import static_bounds
 
-SEARCH_DIGEST = ("15e2442118faeb0eaa2bfee76688307e"
-                 "c741c62bcc6193a3bbd22c99e7734f0f")
+SEARCH_DIGEST = ("56bc749ece199fc9ecce0e534f4211131"
+                 "be5654d05a77b1b7709cd6f7e0c367b")
 SEARCH_STOPS = 36
 
 
@@ -64,17 +64,6 @@ def test_budget_stop_at_a_one_slot_node(F2, ring5):
     assert stop.value.refuted == {5: 0, 6: 31, 7: 31}
 
 
-@pytest.mark.slow
-def test_worker_count_changes_no_answer():
-    # a solving length searches every worker's share to the end, so only
-    # the total work may differ
-    one = nq_kd(2, 4, 5, mode="search", workers=1)
-    two = nq_kd(2, 4, 5, mode="search", workers=2)
-    assert (two.N, two.refuted) == (one.N, one.refuted)
-    assert np.array_equal(two.generator, one.generator)
-    assert (one.nodes, two.nodes) == (65_515, 83_150)
-
-
 # ---------------------------------------------------------------------------
 # seeded digest: the whole search, budget stops included
 # ---------------------------------------------------------------------------
@@ -82,13 +71,12 @@ def test_worker_count_changes_no_answer():
 
 def _seeded_search_outcomes():
     """min_length_search on 200 seeded random cases: q in {2,3,4,5}, d in
-    1..5, budgets from 5 to 20,000 nodes, four cases with two workers.  Each
-    outcome is (n_opt, solution, nodes, refuted), or for a budget stop its
-    message and refuted map."""
+    1..5, budgets from 5 to 20,000 nodes.  Each outcome is (n_opt, solution,
+    nodes, refuted), or for a budget stop its message and refuted map."""
     rng = np.random.default_rng(2026)
     dims = {2: (3, 4, 5), 3: (2, 3), 4: (2, 3), 5: (2, 3)}
     out = []
-    for case in range(200):
+    for _ in range(200):
         q = int(rng.choice(list(dims)))
         k = int(rng.choice(dims[q]))
         field = make_field(q)
@@ -100,10 +88,9 @@ def _seeded_search_outcomes():
         d = int(rng.integers(1, 6))
         n_max = d + int(rng.integers(0, 8))
         budget = int(10 ** rng.uniform(0.5, 4.7))
-        workers = 2 if case % 50 == 49 else 1
         try:
             res = min_length_search(field, columns, targets, d, n_max,
-                                    workers=workers, budget=budget)
+                                    budget=budget)
         except BudgetExceeded as exc:
             out.append((str(exc), sorted(exc.refuted.items())))
         else:
@@ -113,8 +100,7 @@ def _seeded_search_outcomes():
 
 
 def test_seeded_search_digest():
-    # recorded before one-slot children were solved in their parent; any
-    # change to a tree, a solution, a refutation or a stop point moves it
+    # any change to a tree, a solution, a refutation or a stop point moves it
     out = _seeded_search_outcomes()
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     stops = sum(isinstance(o[0], str) for o in out)
@@ -195,7 +181,7 @@ def test_projective_index_is_the_position_in_projective_reps(q):
         position = {}
         for t, rep in enumerate(projective_reps(field, k)):
             for c in range(1, q):
-                position[tuple(field.scale(c, np.array(rep)).tolist())] = t
+                position[tuple(field.mul_arr(c, np.array(rep)).tolist())] = t
         V = np.array(list(itertools.product(range(q), repeat=k))[1:])
         assert len(position) == len(V)
         assert projective_index(field, V).tolist() == \
