@@ -32,7 +32,7 @@ from .instances import (
     generalized_independence_number,
     odd_cycle_instance,
 )
-from .search import min_length_search, projective_reps
+from .search import SEARCH_BUDGET, min_length_search, projective_reps
 
 SEARCH_POINT_CAP = 400  # projective points a search may take as columns
 
@@ -122,7 +122,8 @@ def _hamming_entry(field, k):
                           None, 0, {})
 
 
-def nq_kd(q, k, d, mode="auto", n_max=None, workers=1, budget=50_000_000):
+def nq_kd(q, k, d, mode="auto", n_max=None, workers=1,
+          budget=SEARCH_BUDGET):
     """Shortest linear-code length for (q, k, d); see module docstring."""
     # workers=1 is still accepted only because the benchmark passes it
     if workers != 1:
@@ -179,7 +180,7 @@ class BoundReport:
     random_N: int                    # least N the counting bound certifies
 
 
-def bound_report(inst, field, delta, workers=1, budget=50_000_000):
+def bound_report(inst, field, delta, workers=1, budget=SEARCH_BUDGET):
     # workers=1 is still accepted only because the benchmark passes it
     if workers != 1:
         raise ValueError("the search runs in one process: workers must be 1")
@@ -209,7 +210,7 @@ class OddCycleComparison:
     alpha_bound_wins: bool | None
 
 
-def odd_cycle_comparison(l, delta, budget=50_000_000):
+def odd_cycle_comparison(l, delta, budget=SEARCH_BUDGET):
     """For odd cycles the independence-number bound beats Singleton once
     delta > 0, because no nontrivial binary MDS code exists."""
     inst = odd_cycle_instance(l)

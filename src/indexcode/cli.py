@@ -24,6 +24,7 @@ from . import codes, decoding, sim, static_codes
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import load_matrix, make_field, matrix_to_text
 from .instances import generalized_independence_number, load_instance
+from .search import SEARCH_BUDGET
 
 OK, FAIL, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -120,7 +121,7 @@ def cmd_alpha(args):
 def cmd_minrank(args):
     inst, field = _load_instance_field(args.instance)
     w = codes.min_rank(inst, field,
-                       node_budget=_budget(args, 5_000_000))
+                       node_budget=_budget(args, codes.MIN_RANK_BUDGET))
     payload = {"kappa": w.kappa, "certified": w.certified,
                "lower_bound": w.lower_bound, "nodes": w.nodes, "V": w.V}
     lines = [f"kappa: {w.kappa}", f"certified: {w.certified}",
@@ -133,7 +134,7 @@ def cmd_minrank(args):
 def cmd_bounds(args):
     inst, field = _load_instance_field(args.instance)
     rep = bounds_mod.bound_report(inst, field, args.delta,
-                                  budget=_budget(args, 50_000_000))
+                                  budget=_budget(args, SEARCH_BUDGET))
     rows = [
         ("alpha", rep.alpha, f"witness {list(_ones(rep.alpha_witness))}"),
         ("kappa", rep.kappa,
@@ -168,7 +169,7 @@ def _matrix_out(args, field, L, lines):
 
 def cmd_construct(args):
     inst, field = _load_instance_field(args.instance)
-    budget = _budget(args, 50_000_000)
+    budget = _budget(args, SEARCH_BUDGET)
 
     if args.method == "concat":
         L, witness, entry = codes.construct_concat(inst, field, args.delta)
@@ -346,7 +347,7 @@ def cmd_static_resilience(args):
 def cmd_nqkd(args):
     entry = bounds_mod.nq_kd(args.q, args.k, args.d, mode=args.mode,
                              n_max=args.max_n,
-                             budget=_budget(args, 50_000_000))
+                             budget=_budget(args, SEARCH_BUDGET))
     lines = [f"shortest length for k={args.k} d={args.d} over GF({args.q}): "
              f"{entry.N if entry.N is not None else 'unknown'}",
              f"provenance: {entry.provenance}"]

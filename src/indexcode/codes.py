@@ -26,9 +26,11 @@ from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from .fields import (check_matrix, combination_blocks, matrix_from_text,
                      matrix_to_text, rref, solve_one, sphere_volume, weight)
 from .instances import instance_hash, iter_I, y_set
-from .search import min_length_search, projective_index, projective_reps
+from .search import (SEARCH_BUDGET, min_length_search, projective_index,
+                     projective_reps)
 
 VERIFY_SPAN_CAP = 2**22
+MIN_RANK_BUDGET = 5_000_000     # default min_rank DFS nodes
 # rows a min_rank node reduces, or verify weighs, in one step; a receiver
 # with more combinations is handled block by block, in the same order
 MIN_RANK_BLOCK = 2**12
@@ -145,7 +147,7 @@ class _Budget(Exception):
     pass
 
 
-def min_rank(inst, field, node_budget=5_000_000):
+def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     """Minimum rank of {v_i + e_f(i)} with v_i supported on X_i.
 
     Iterative deepening on the target rank k: receivers are processed in
@@ -367,7 +369,8 @@ class SearchReport:
     delta: int
 
 
-def search_min_length(inst, field, delta, n_max, workers=1, budget=50_000_000):
+def search_min_length(inst, field, delta, n_max, workers=1,
+                      budget=SEARCH_BUDGET):
     """Shortest delta-correcting length for inst, by exhaustive column search.
 
     Columns and confusable directions are both reduced to projective

@@ -9,8 +9,9 @@ off through a fixed combining vector.
 
 The combiner comes from solving L u = v + e_f(i) with v supported on the
 receiver's side information; it depends only on (L, i), so the Decoder class
-precomputes it (and a sorted syndrome-key -> leader table) for fast repeated
-decoding, one view or a whole block of received words at a time.
+precomputes it, with a leader table over one shared array of error
+patterns, for fast repeated decoding, one view or a whole block of received
+words at a time.
 Up to delta errors, the recovered symbol is exact whenever L verifies at
 delta, even though the error estimate itself may differ from the true error
 by something the receiver cannot, and need not, distinguish.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import (check_matrix, kernel_basis, solve_one, span_matrix,
-                     sparse_blocks, sphere_volume, weight)
+                     sparse_blocks, sparse_vectors, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
@@ -231,13 +232,15 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
 class Decoder:
     """Per-receiver precomputation for mass decoding of one (inst, L, delta).
 
+    Every receiver reads one shared array, the V = sphere_volume(q, N,
+    delta) patterns of sparse_vectors(q, N, delta), whose size budget caps.
     Each receiver gets its parity check H, its combiner (u, v) and a leader
     table of two arrays: the sorted syndrome keys (the base-q integer of
-    H e, first coordinate least significant) and, row for row, the leader
-    of each key, which is the first pattern with that key in sparse_vectors
-    order, exactly the pattern the streaming search returns.  The table is
-    built a block of patterns at a time and has at most
-    sphere_volume(q, N, delta) entries, the number that budget caps.  So
+    H e, first coordinate least significant) and, row for row, the index in
+    the shared array of each key's leader, the first pattern with that key,
+    exactly the pattern the streaming search returns.  The keys are
+    computed a block of patterns at a time.  Memory: V x N entries once,
+    plus at most V keys and V indices per receiver.  So
     decode(view) gives the same DecodeResult as decode() on every input,
     and raises what decode() raises: TooManyErrors when no leader matches,
     NotAnIndexCode when the receiver has no combiner.  decode_block does
@@ -254,37 +257,20 @@ class Decoder:
         q, N = field.q, self.L.shape[1]
         if sphere_volume(q, N, delta) > budget:
             raise BudgetExceeded("leader table larger than budget")
-        Hs = [code_Ci(inst, field, self.L, i)[1] for i in range(inst.m)]
+        # a leader is the first pattern of its key in this order
+        self._patterns = E = sparse_vectors(q, N, delta)
         rows = block_rows(0, N)
-        # pass 1: every pattern's key at every receiver; the first pattern
-        # of each distinct key is its leader
-        block_keys = [[] for _ in Hs]
-        for E in sparse_blocks(q, N, delta, rows):
-            for found, H in zip(block_keys, Hs):
-                found.append(_syndrome_keys(q, field.matmul(E, H.T)))
-        keys, firsts = [], []
-        for found in block_keys:
-            k, first = np.unique(np.concatenate(found), return_index=True)
-            keys.append(k)
-            firsts.append(first)
-        # pass 2: pick the leaders out of the same blocks, visiting each
-        # table's rows in the order of their leaders' positions
-        leaders = [np.zeros((len(k), N), dtype=np.int64) for k in keys]
-        orders = [np.argsort(first) for first in firsts]
-        ats = [first[order] for first, order in zip(firsts, orders)]
-        start = 0
-        for E in sparse_blocks(q, N, delta, rows):
-            for order, at, lead in zip(orders, ats, leaders):
-                lo, hi = np.searchsorted(at, [start, start + len(E)])
-                lead[order[lo:hi]] = E[at[lo:hi] - start]
-            start += len(E)
         self._tables = []
-        for i, H in enumerate(Hs):
+        for i in range(inst.m):
+            H = code_Ci(inst, field, self.L, i)[1]
+            keys, first = np.unique(np.concatenate(
+                [_syndrome_keys(q, field.matmul(E[a:a + rows], H.T))
+                 for a in range(0, len(E), rows)]), return_index=True)
             try:
                 comb_uv = find_combiner(inst, field, self.L, i)
             except NotAnIndexCode:
                 comb_uv = None
-            self._tables.append((H, keys[i], leaders[i], comb_uv))
+            self._tables.append((H, keys, first, comb_uv))
 
     def _lookup(self, i, S):
         """Table rows of the syndromes S (one per row), -1 where none."""
@@ -294,13 +280,13 @@ class Decoder:
         return np.where(keys[pos] == k, pos, -1)
 
     def decode(self, view):
-        H, _, leaders, comb_uv = self._tables[view.i]
+        H, _, first, comb_uv = self._tables[view.i]
         beta = syndrome(self.inst, self.field, self.L, H, view)
         pos = int(self._lookup(view.i, beta[None, :])[0])
         if pos < 0:
             raise TooManyErrors(
                 f"no error pattern of weight <= {self.delta} matches")
-        e_hat = leaders[pos].copy()
+        e_hat = self._patterns[first[pos]].copy()
         # without a combiner recover() looks for one and raises
         # NotAnIndexCode, as decode() does
         x_hat = recover(self.inst, self.field, self.L, view, e_hat,
@@ -315,7 +301,7 @@ class Decoder:
         given side (one row per word: the values x_j for j in sorted X_i).
         Returns int64 symbols, -1 where decode() would raise."""
         field = self.field
-        H, _, leaders, comb_uv = self._tables[i]
+        H, _, first, comb_uv = self._tables[i]
         out = np.full(len(Y), -1, dtype=np.int64)
         if comb_uv is None:
             return out
@@ -324,7 +310,7 @@ class Decoder:
         stripped = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
         pos = self._lookup(i, field.matmul(stripped, H.T))
         hit = pos >= 0
-        corrected = field.sub_arr(Y[hit], leaders[pos[hit]])
+        corrected = field.sub_arr(Y[hit], self._patterns[first[pos[hit]]])
         out[hit] = field.sub_arr(field.matvec(corrected, u),
                                  field.matvec(side[hit], v[X_i]))
         return out

@@ -63,6 +63,8 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
+SEARCH_BUDGET = 50_000_000  # default nodes the exact search may visit per length
+
 
 def projective_reps(field, k):
     """Nonzero vectors of F_q^k with first nonzero coordinate 1, lex order."""
@@ -195,7 +197,8 @@ def _search_fixed_n(masks, nz, d, n, budget):
         del dfs  # dfs names itself through a cell: break the cycle now
 
 
-def min_length_search(field, columns, targets, d, n_max, budget=50_000_000):
+def min_length_search(field, columns, targets, d, n_max,
+                      budget=SEARCH_BUDGET):
     """Scan lengths d, d+1, ... up to n_max in one process; see module
     docstring.
 

@@ -9,6 +9,7 @@ are split across workers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield
 
@@ -229,7 +230,10 @@ def trial_campaign(inst, field, L, delta, trials, seed,
         args = [(inst, field.q, L, delta, seed, int(a), int(b),
                  forced_weight, budget)
                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # chunk bounds follow `workers`; processes never outnumber the
+        # chunks or the CPUs
+        procs = min(len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_run_chunk_star, args))
     else:
         chunks = [_run_chunk(inst, field.q, L, delta, seed, 0, trials,

@@ -21,6 +21,7 @@ from math import comb
 import numpy as np
 
 from .bounds import SEARCH_POINT_CAP, CodeTableEntry, griesmer_lower, nq_kd
+from .decoding import BLOCK_CELLS
 from .errors import BudgetExceeded
 from .fields import (check_matrix, make_field, rank, span_matrix,
                      sparse_vectors, sphere_volume, support_vectors)
@@ -305,6 +306,8 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     <= 2*delta.  Each step takes the first admissible candidate in the
     chosen order (full rescan, so the counting guarantee applies verbatim:
     whenever gv_inequality holds the greedy cannot dead-end, in any order).
+    The candidates are tested in slices whose sums take about BLOCK_CELLS
+    entries, up to the first slice that holds an admissible one.
 
     order="lex" scans F_q^N lexicographically; order="seeded" scans the
     permutation of it drawn from default_rng(seed), so seed is required.
@@ -335,15 +338,20 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
         # every combination of <= rho-1 placed rows, zero included
         V = field.matmul(sparse_vectors(q, len(rows), rho - 1),
                          np.array(rows, dtype=np.int64).reshape(-1, N))
-        sums = field.add_arr(pool[:, None, :], V[None, :, :])
-        ok = (np.count_nonzero(sums, axis=2) >= need).all(axis=1)
-        hits = np.nonzero(ok)[0]
-        if len(hits) == 0:
+        step = max(1, BLOCK_CELLS // (len(V) * N))
+        for a in range(0, len(pool), step):
+            cand = pool[a:a + step]
+            sums = field.add_arr(cand[:, None, :], V[None, :, :])
+            hits = np.flatnonzero(
+                (np.count_nonzero(sums, axis=2) >= need).all(axis=1))
+            if len(hits):
+                rows.append(cand[hits[0]].copy())
+                break
+        else:
             partial = (np.array(rows, dtype=np.int64)
                        if rows else np.zeros((0, N), dtype=np.int64))
             return GreedyReport(n, rho, delta, q, N, order, seed, False,
                                 None, len(rows), partial, holds)
-        rows.append(pool[hits[0]].copy())
     L = np.array(rows, dtype=np.int64)
     ok, _ = verify_rho_delta(field, L, rho, delta)
     if not ok:  # pragma: no cover - would mean the admissibility test lies

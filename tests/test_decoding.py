@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indexcode import decoding
 from indexcode.decoding import (
     Decoder,
     code_Ci,
@@ -22,7 +23,8 @@ from indexcode.decoding import (
     transmit,
 )
 from indexcode.errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from indexcode.fields import make_field, rank, sphere_volume, weight
+from indexcode.fields import (make_field, rank, sparse_vectors,
+                              sphere_volume, weight)
 from indexcode.instances import make_instance, y_set
 
 from conftest import random_instance
@@ -342,6 +344,57 @@ def test_negative_radius_is_rejected(F2, k3, k3_L):
     with pytest.raises(ValueError, match="delta must be >= 0"):
         min_weight_coset_solution(F2, H, np.zeros(len(H), dtype=np.int64),
                                   -1)
+
+
+def _decoder_tables(seed):
+    """Every receiver's keys, leaders and decode_block output on a seeded
+    block of light-error broadcasts, over seeded cases in GF(2..4)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for q in (2, 3, 4):
+        F = make_field(q)
+        for _ in range(3):
+            inst = random_instance(rng, 2, 4)
+            N = int(rng.integers(2, 7))
+            L = rng.integers(0, q, size=(inst.n, N))
+            table = Decoder(inst, F, L, int(rng.integers(0, 3)))
+            X = rng.integers(0, q, size=(40, inst.n))
+            E = rng.integers(0, q, size=(40, N)) * (rng.random((40, N)) < 0.2)
+            Y = F.add_arr(F.matmul(X, L), E)
+            for i, (_, keys, first, _) in enumerate(table._tables):
+                side = X[:, sorted(inst.X[i])]
+                out.append((keys.tolist(), table._patterns[first].tolist(),
+                            table.decode_block(i, Y, side).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 50, decoding.BLOCK_CELLS])
+def test_decoder_blocks_keep_the_tables(monkeypatch, cells):
+    """Keys computed a few patterns at a time give the tables and block
+    decodes of a build that keys every pattern in one block."""
+    monkeypatch.setattr(decoding, "BLOCK_CELLS", 1 << 40)
+    whole = _decoder_tables(43)
+    assert any(x >= 0 for *_, xs in whole for x in xs)
+    assert any(x < 0 for *_, xs in whole for x in xs)
+    monkeypatch.setattr(decoding, "BLOCK_CELLS", cells)
+    assert _decoder_tables(43) == whole
+
+
+def test_decoder_leader_is_the_first_pattern_of_its_syndrome(F3):
+    # brute force: walk sparse_vectors order and keep each syndrome's first
+    # pattern; the table must hold exactly those, one per syndrome
+    rng = np.random.default_rng(44)
+    patterns = sparse_vectors(3, 5, 2)
+    for _ in range(4):
+        inst = random_instance(rng, 3, 4)
+        L = rng.integers(0, 3, size=(inst.n, 5))
+        for H, keys, first, _ in Decoder(inst, F3, L, 2)._tables:
+            firsts = {}
+            for at, e in enumerate(patterns):
+                firsts.setdefault(tuple(F3.matvec(H, e)), at)
+            assert len(keys) == len(firsts)
+            for at in first:
+                assert firsts[tuple(F3.matvec(H, patterns[at]))] == at
 
 
 # ---------------------------------------------------------------------------

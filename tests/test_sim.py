@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indexcode import sim
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field, sparse_vectors, sphere_volume, weight
 from indexcode.sim import (
@@ -119,6 +120,31 @@ def test_campaign_worker_count_invariance(F2, pentagon, pentagon_L9):
     assert a.successes == b.successes
     assert a.failures == b.failures
     assert a.max_weight == b.max_weight
+
+
+def test_campaign_pool_never_outnumbers_its_chunks(monkeypatch, F2, k3,
+                                                   k3_L):
+    # 5000 workers on 2 trials leave two non-empty chunks; the fake pool
+    # records the size asked for and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    many = trial_campaign(k3, F2, k3_L, 1, 2, seed=3, workers=5000)
+    assert sizes and max(sizes) <= 2
+    assert many == trial_campaign(k3, F2, k3_L, 1, 2, seed=3, workers=1)
 
 
 def test_campaign_exhaustive_counts(F2, k3, k3_L):

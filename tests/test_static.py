@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indexcode import static_codes
 from indexcode.codes import min_rank, verify
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field, rank, weight
@@ -425,6 +426,29 @@ def test_gv_greedy_guarantee_sweep(F2):
                         continue
                     rep = gv_greedy(n, rho, delta, 2, N)
                     assert rep.success, (n, rho, delta, N)
+
+
+@pytest.mark.parametrize("cells", [1, 200])
+def test_gv_greedy_slices_keep_the_first_admissible_row(monkeypatch, cells):
+    """Scanning the candidates a slice at a time takes the same row at
+    every step as one whole scan: successes and dead ends alike."""
+    cases = [(4, 2, 1, 2, 7), (4, 2, 1, 2, 4), (3, 1, 1, 2, 3),
+             (5, 3, 1, 2, 8), (4, 2, 1, 3, 5), (3, 3, 2, 4, 4),
+             (6, 2, 0, 3, 3)]
+
+    def run():
+        out = []
+        for n, rho, delta, q, N in cases:
+            for order, seed in (("lex", None), ("seeded", 1), ("seeded", 2)):
+                r = gv_greedy(n, rho, delta, q, N, order=order, seed=seed)
+                out.append((r.success, r.rows_built, r.partial.tolist(),
+                            None if r.L is None else r.L.tolist()))
+        return out
+
+    whole = run()
+    assert {ok for ok, *_ in whole} == {True, False}
+    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    assert run() == whole
 
 
 def test_gv_greedy_validation():
