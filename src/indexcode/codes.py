@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoding import BLOCK_CELLS
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from .fields import (check_matrix, combination_blocks, matrix_from_text,
                      matrix_to_text, rref, solve_one, sphere_volume, weight)
@@ -163,13 +164,24 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     space is carried as its n x n projection P, which maps a row v to its
     residual against the space: v less the combination of the basis rows
     that clears v at the pivot columns of the space's reduced row echelon
-    form.  P = I at the root.  A node reduces a whole block of candidates C
-    in one step, C P, and the rows left zero are free.  Extending the space
-    by a residual r whose first nonzero is at p is the rank-1 update
+    form.  P = I at the root.  A block of candidates C reduces in one step,
+    C P, and the rows left zero are free.  Extending the space by a
+    residual r whose first nonzero is at p is the rank-1 update
     P - P[:, p] (x) r / r[p].  The residual of a row is unique, so P is as
     canonical for the space as its reduced row echelon form, and the memo
     key (depth, P) splits the states exactly as (depth, rref) would: the
     memo hits, the nodes and the result do not depend on the choice.
+
+    A frame steps all its children at once.  It builds the projections of
+    its rank-raising children as one stack, and reduces the next
+    receiver's first candidate block by every one of them in one stacked
+    product, which each child receives with its projection; the free
+    children share P, so one product serves them all.  With b rows in that
+    block, a stack holds BLOCK_CELLS // (b n^2) children (at least one):
+    over an extension field the stacked product forms b x n x n entries
+    per child, so it stays within about BLOCK_CELLS of them.  The children
+    are still visited one by one, in candidate order, so the nodes, memo
+    hits and result are those of a frame that steps one child at a time.
 
     node_budget caps the DFS nodes: one global count summed over every
     target rank and both passes.  When it runs out the result is the
@@ -184,42 +196,73 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     candidates = [combination_blocks(field, unit[Xs[i][::-1]], MIN_RANK_BLOCK,
                                      base=unit[inst.f[i]]) for i in range(m)]
 
-    def extend(P, res):
-        """Projection for the span of P's space plus the residual res."""
-        p = int((res != 0).argmax())
-        row = field.mul_arr(field.inv(int(res[p])), res)
-        return field.sub_arr(P, field.mul_arr(P[:, p:p + 1], row[None, :]))
+    def project(P, R):
+        """Projections for P's space plus each row of the residuals R, as
+        one C-contiguous stack."""
+        p = (R != 0).argmax(axis=1)
+        lead = field.inv_arr(R[np.arange(len(R)), p])
+        R = field.mul_arr(lead[:, None], R)
+        return field.sub_arr(P, field.mul_arr(P[:, p].T[:, :, None],
+                                              R[:, None, :]))
 
     def decide(k, rec_order):
         """Rows completing rec_order with rank <= k, or None."""
         failed = set()
+        blocks = [candidates[i] for i in rec_order]
+        firsts = [next(iter(b)) for b in blocks]
+        # children per stack at each depth but the last
+        batch = [max(1, BLOCK_CELLS // (len(C) * n * n)) for C in firsts[1:]]
 
-        def dfs(dpt, P, rk):
-            if dpt == m:
-                return []
+        def dfs(dpt, P, rk, res, up):
+            # res: the first candidate block of this depth reduced by P;
+            # up: which of its rows are nonzero, that is, raise the rank
             nodes[0] += 1
             if nodes[0] > node_budget:
                 raise _Budget
             key = (dpt, P.tobytes())
             if key in failed:
                 return None
-            for C in candidates[rec_order[dpt]]:
-                res = field.matmul(C, P) if rk else C
-                raises = res.any(axis=1).tolist()
-                tries = range(len(C)) if rk < k else \
-                    [code for code, up in enumerate(raises) if not up]
+            last = dpt + 1 == m
+            shared = None   # what every free child receives
+            for b, C in enumerate(blocks[dpt]):
+                if b:
+                    res = field.matmul(C, P) if rk else C
+                    up = res.any(axis=1)
+                if rk < k:
+                    raises = up.tolist()
+                    tries = range(len(C))
+                    R = res[up]   # the rank-raising residuals, in order
+                else:   # full rank: only the free children
+                    raises = None
+                    tries = (~up).nonzero()[0].tolist()
+                if last:
+                    if tries:
+                        return [C[tries[0]]]
+                    continue
+                t = 0   # rank-raising children visited
                 for code in tries:
-                    if raises[code]:
-                        sub = dfs(dpt + 1, extend(P, res[code]), rk + 1)
+                    if raises and raises[code]:
+                        j = t % batch[dpt]
+                        if j == 0:
+                            Ps = project(P, R[t:t + batch[dpt]])
+                            Rs = field.matmul(firsts[dpt + 1], Ps)
+                            Us = Rs.any(axis=2)
+                        sub = dfs(dpt + 1, Ps[j], rk + 1, Rs[j], Us[j])
+                        t += 1
                     else:
-                        sub = dfs(dpt + 1, P, rk)
+                        if shared is None:
+                            nxt = (field.matmul(firsts[dpt + 1], P) if rk
+                                   else firsts[dpt + 1])
+                            shared = nxt, nxt.any(axis=1)
+                        sub = dfs(dpt + 1, P, rk, *shared)
                     if sub is not None:
                         return [C[code]] + sub
             failed.add(key)
             return None
 
         try:
-            return dfs(0, np.eye(n, dtype=np.int64), 0)
+            return dfs(0, np.eye(n, dtype=np.int64), 0, firsts[0],
+                       firsts[0].any(axis=1))
         finally:
             del dfs  # dfs names itself through a cell: free the memo now
 

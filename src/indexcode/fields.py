@@ -13,8 +13,9 @@ Each field keeps a table of inverses.
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
 takes the Field explicitly.  This module owns the enumeration orders
 (solution sweeps, all_combinations of rows and combination_blocks of it,
-support_vectors per support and sparse_vectors by weight built on it) and
-the Hamming-ball count sphere_volume; they are fixed and documented so that
+support_vectors per support and sparse_vectors by weight built on it,
+product_rows for rows of itertools.product) and the Hamming-ball count
+sphere_volume; they are fixed and documented so that
 searches built on top are reproducible bit for bit.
 """
 
@@ -164,13 +165,22 @@ class Field:
 
     # -- scalar ops --------------------------------------------------------
 
+    # characteristic-2 scalars XOR as Python ints: a ufunc call costs more
+    # than the whole scalar op
+
     def add(self, a, b):
+        if self._xor:
+            return int(a) ^ int(b)
         return int(self.add_arr(a, b))
 
     def neg(self, a):
+        if self._xor:
+            return int(a)
         return int(self.sub_arr(0, a))
 
     def sub(self, a, b):
+        if self._xor:
+            return int(a) ^ int(b)
         return int(self.sub_arr(a, b))
 
     def mul(self, a, b):
@@ -229,16 +239,23 @@ class Field:
         return int(self._reduce_add(self.mul_arr(u, v), axis=0))
 
     def matmul(self, A, B):
+        """A @ B over the field.  Leading axes broadcast as in numpy's
+        matmul, so one call multiplies a whole stack of matrices: A of
+        shape (..., a, k) and B of shape (..., k, c) give (..., a, c).  An
+        extension field forms every product first, (..., a, k, c) entries,
+        so callers that stack cut their stacks to about
+        decoding.BLOCK_CELLS of those."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        if A.shape[1] != B.shape[0]:
+        if A.shape[-1] != B.shape[-2]:
             raise ValueError("shape mismatch")
-        if A.shape[1] == 0:
-            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        if A.shape[-1] == 0:
+            lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+            return np.zeros(lead + (A.shape[-2], B.shape[-1]), dtype=np.int64)
         if self.e == 1:
             return (A @ B) % self.p
-        prods = self._mul[A[:, :, None], B[None, :, :]]
-        return self._reduce_add(prods, axis=1)
+        prods = self._mul[A[..., :, :, None], B[..., None, :, :]]
+        return self._reduce_add(prods, axis=-2)
 
     def matvec(self, A, x):
         return self.matmul(A, np.asarray(x, dtype=np.int64).reshape(-1, 1))[:, 0]
@@ -413,13 +430,19 @@ def support_vectors(q, k, support):
     """The (q-1)**len(support) vectors of F_q^k whose support is exactly
     `support` (sorted positions), as one array: the nonzero values
     ascending, the last position fastest."""
-    w = len(support)
-    out = np.zeros(((q - 1) ** w, k), dtype=np.int64)
+    out = np.zeros(((q - 1) ** len(support), k), dtype=np.int64)
+    _fill_support(out, q, support)
+    return out
+
+
+def _fill_support(out, q, support):
+    """Write support_vectors(q, k, support) into out, a C-contiguous block
+    of that many zero rows."""
+    w, k = len(support), out.shape[1]
     values = np.arange(1, q)[:, None]
     for j, pos in enumerate(support):
         # the value at position j steps every (q-1)**(w-1-j) rows
         out.reshape(-1, q - 1, (q - 1) ** (w - 1 - j), k)[..., pos] = values
-    return out
 
 
 def _support_blocks(q, k, r):
@@ -435,10 +458,17 @@ def sparse_vectors(q, k, r):
     sphere_volume(q, k, r) rows; no rows when r < 0.
 
     Order: the zero vector first, then weight ascending, support lex, and
-    within a support support_vectors order.
+    within a support support_vectors order.  The rows are filled in place,
+    a support at a time, so the ball is held once.
     """
-    return np.concatenate([np.zeros((0, k), dtype=np.int64),
-                           *_support_blocks(q, k, r)])
+    out = np.zeros((sphere_volume(q, k, r), k), dtype=np.int64)
+    at = 1   # the zero vector
+    for w in range(1, min(r, k) + 1):
+        size = (q - 1) ** w
+        for support in itertools.combinations(range(k), w):
+            _fill_support(out[at:at + size], q, support)
+            at += size
+    return out
 
 
 def sparse_blocks(q, k, r, size):
@@ -457,6 +487,13 @@ def sparse_blocks(q, k, r, size):
             pending, held = [rows[cut:]], held - cut
     if held:
         yield np.concatenate(pending)
+
+
+def product_rows(q, k, idx):
+    """Rows idx of itertools.product(range(q), repeat=k), one per index:
+    the base-q digits of each index, the last position fastest."""
+    idx = np.asarray(idx, dtype=np.int64)[:, None]
+    return idx // q ** np.arange(k - 1, -1, -1, dtype=np.int64) % q
 
 
 def all_combinations(field, rows):

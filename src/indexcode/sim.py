@@ -17,7 +17,8 @@ import numpy as np
 
 from .decoding import COSET_BUDGET, Decoder, block_rows, decode, make_view
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import check_matrix, make_field, sparse_blocks, sphere_volume
+from .fields import (check_matrix, make_field, product_rows, sparse_blocks,
+                     sphere_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +161,6 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     return parts
 
 
-def _messages(q, n, start, stop):
-    """Message vectors start..stop-1 of itertools.product(range(q),
-    repeat=n), one per row."""
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
-    return idx // q ** np.arange(n - 1, -1, -1, dtype=np.int64) % q
-
-
 def trial_campaign(inst, field, L, delta, trials, seed,
                    forced_weight=None, exhaustive=False, workers=1,
                    budget=COSET_BUDGET):
@@ -217,7 +211,8 @@ def trial_campaign(inst, field, L, delta, trials, seed,
                 continue
             per = max(1, step // len(errors))
             for a in range(0, field.q ** n, per):
-                X = _messages(field.q, n, a, min(a + per, field.q ** n))
+                X = product_rows(field.q, n,
+                                 np.arange(a, min(a + per, field.q ** n)))
                 parts.append(_tally(inst, field, L, decoder,
                                     np.repeat(X, len(errors), axis=0),
                                     np.tile(errors, (len(X), 1))))

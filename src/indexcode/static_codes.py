@@ -13,9 +13,8 @@ under partial input fixing).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -23,8 +22,9 @@ import numpy as np
 from .bounds import SEARCH_POINT_CAP, CodeTableEntry, griesmer_lower, nq_kd
 from .decoding import BLOCK_CELLS
 from .errors import BudgetExceeded
-from .fields import (check_matrix, make_field, rank, span_matrix,
-                     sparse_vectors, sphere_volume, support_vectors)
+from .fields import (check_matrix, make_field, product_rows, rank,
+                     span_matrix, sparse_vectors, sphere_volume,
+                     support_vectors)
 from .instances import Instance, make_instance
 from .search import projective_index, projective_reps
 
@@ -99,7 +99,9 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     the full-length coefficient vector of the first failing combination.
     Supports are scanned by (size, lex); within a support the leading
     coefficient is fixed to 1 (scaling cannot change a weight), which keeps
-    the first (q-1)**(size-1) rows of its support_vectors block.
+    the first (q-1)**(size-1) rows of its support_vectors block.  One
+    matmul weighs a block of supports of one size, as many as keep its
+    products within BLOCK_CELLS entries.
     budget caps the vectors scanned: (sphere_volume(q, n, rho) - 1) / (q - 1).
     """
     L = check_matrix(field, L)
@@ -114,10 +116,17 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
     need = 2 * delta + 1
     for size in range(1, rho + 1):
-        for supp in combinations(range(n), size):
-            # the rows of support_vectors(q, n, supp) that start with 1
-            Z = support_vectors(q, n, supp[1:])
-            Z[:, supp[0]] = 1
+        # the coefficients after the leading 1, in support_vectors order
+        vals = support_vectors(q, size - 1, range(size - 1))
+        per = max(1, BLOCK_CELLS // max(1, len(vals) * n * N))
+        supports = combinations(range(n), size)
+        while block := list(islice(supports, per)):
+            # one row per (support, coefficients) pair, supports in lex order
+            S = np.repeat(np.array(block), len(vals), axis=0)
+            at = np.arange(len(S))
+            Z = np.zeros((len(S), n), dtype=np.int64)
+            Z[at, S[:, 0]] = 1
+            Z[at[:, None], S[:, 1:]] = np.tile(vals, (len(block), 1))
             combos = field.matmul(Z, L)
             bad = np.nonzero(np.count_nonzero(combos, axis=1) < need)[0]
             if len(bad):
@@ -139,8 +148,15 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
     non-decreasing order lose nothing.  A column may join iff it avoids the
     span of every <= rho-1 chosen columns; a bitmask over the
     representatives tracks the columns lying in those spans.
+
+    A frame works out what each of its allowed columns would forbid all at
+    once, one projective_index call for a batch of columns whose sums take
+    about BLOCK_CELLS entries.  budget caps the columns visited, allowed
+    or not.
     """
     reps = np.array(projective_reps(field, N), dtype=np.int64)
+    # a column c joining forbids c + z.chosen for every z of weight <= rho-2
+    light = [sparse_vectors(field.q, k, rho - 2) for k in range(n)]
     nodes = 0
     chosen = []
 
@@ -149,9 +165,12 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
         k = len(chosen)
         if k == n:
             return True
-        # a column c joining forbids c + z.chosen for every z of weight <= rho-2
-        combos = field.matmul(sparse_vectors(field.q, k, rho - 2),
+        combos = field.matmul(light[k],
                               np.array(chosen, dtype=np.int64).reshape(k, N))
+        allowed = [idx for idx in range(start, len(reps))
+                   if not forbidden >> idx & 1]
+        batch = max(1, BLOCK_CELLS // max(1, len(combos) * N))
+        t = 0   # allowed columns visited
         for idx in range(start, len(reps)):
             nodes += 1
             if nodes > budget:
@@ -159,11 +178,16 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
                     f"parity-check search exceeded {budget} nodes")
             if forbidden >> idx & 1:
                 continue
-            c = reps[idx]
+            if t % batch == 0:
+                cols = reps[allowed[t:t + batch], None, :]
+                hit = projective_index(
+                    field, field.add_arr(cols, combos).reshape(-1, N))
+                hits = hit.reshape(len(cols), -1).tolist()
             grown = forbidden
-            for t in projective_index(field, field.add_arr(combos, c)).tolist():
-                grown |= 1 << t
-            chosen.append(c)
+            for u in hits[t % batch]:
+                grown |= 1 << u
+            t += 1
+            chosen.append(reps[idx])
             if extend(idx, grown):
                 return True
             chosen.pop()
@@ -307,7 +331,9 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     chosen order (full rescan, so the counting guarantee applies verbatim:
     whenever gv_inequality holds the greedy cannot dead-end, in any order).
     The candidates are tested in slices whose sums take about BLOCK_CELLS
-    entries, up to the first slice that holds an admissible one.
+    entries, up to the first slice that holds an admissible one; each
+    slice is built from its candidates' positions in the order, so the
+    whole of F_q^N is never held.
 
     order="lex" scans F_q^N lexicographically; order="seeded" scans the
     permutation of it drawn from default_rng(seed), so seed is required.
@@ -326,11 +352,9 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     if q ** N * max_combos > GREEDY_WORK_CAP:
         raise BudgetExceeded(
             f"{q ** N} candidates x {max_combos} combinations exceed cap")
-    pool = np.array(list(itertools.product(range(q), repeat=N)),
-                    dtype=np.int64)
-    if order == "seeded":
-        rng = np.random.default_rng(seed)
-        pool = pool[rng.permutation(len(pool))]
+    pool = q ** N
+    perm = (np.random.default_rng(seed).permutation(pool)
+            if order == "seeded" else None)
     need = 2 * delta + 1
     holds = gv_inequality(n, rho, delta, q, N)
     rows = []
@@ -339,8 +363,9 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
         V = field.matmul(sparse_vectors(q, len(rows), rho - 1),
                          np.array(rows, dtype=np.int64).reshape(-1, N))
         step = max(1, BLOCK_CELLS // (len(V) * N))
-        for a in range(0, len(pool), step):
-            cand = pool[a:a + step]
+        for a in range(0, pool, step):
+            cand = product_rows(q, N, np.arange(a, min(a + step, pool))
+                                if perm is None else perm[a:a + step])
             sums = field.add_arr(cand[:, None, :], V[None, :, :])
             hits = np.flatnonzero(
                 (np.count_nonzero(sums, axis=2) >= need).all(axis=1))

@@ -327,6 +327,29 @@ def test_min_rank_blocks_keep_the_search(monkeypatch):
     assert run() == whole
 
 
+@pytest.mark.parametrize("cells", [1, 2000])
+def test_min_rank_stacks_keep_the_search(monkeypatch, cells):
+    """A frame steps its rank-raising children as stacks of projections
+    and products; whatever the stack size, down to one child, the search
+    visits the same nodes, stops at the same budgets and returns the same
+    completion as with the default stacks."""
+    qs = (2, 3, 4, 5, 7, 8, 9)
+    rng = np.random.default_rng(4)
+    cases = [(random_instance(rng), make_field(qs[int(rng.integers(7))]))
+             for _ in range(60)]
+
+    def run():
+        return [(w.certified, w.kappa, w.lower_bound, w.nodes, w.V.tolist(),
+                 w.L.tolist())
+                for inst, field in cases for budget in (7, 40, 20_000)
+                for w in [min_rank(inst, field, node_budget=budget)]]
+
+    whole = run()
+    assert {r[0] for r in whole} == {True, False}
+    monkeypatch.setattr(codes, "BLOCK_CELLS", cells)
+    assert run() == whole
+
+
 def test_min_rank_budget_degrades_to_uncertified(F2, pentagon):
     w = min_rank(pentagon, F2, node_budget=3)
     assert not w.certified

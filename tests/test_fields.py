@@ -6,6 +6,7 @@ implementation is checked against independent computations, not itself.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from indexcode.fields import (
     make_field,
     matrix_from_text,
     matrix_to_text,
+    product_rows,
     rank,
     rref,
     solve_affine,
@@ -237,7 +239,13 @@ def test_char2_addition_matches_the_coefficient_tables(q, modulus):
     assert np.array_equal(F.add_arr(a, b), add)
     assert np.array_equal(F.sub_arr(a, b), add[a, neg[b]])
     assert [[F.add(x, y) for y in range(q)] for x in range(q)] == add.tolist()
+    assert [[F.sub(x, y) for y in range(q)]
+            for x in range(q)] == add[a, neg[b]].tolist()
     assert [F.neg(x) for x in range(q)] == neg.tolist()
+    # the scalar methods return Python ints, for numpy scalars too
+    for x in (1, np.int64(q - 1)):
+        assert {type(F.add(x, 1)), type(F.sub(x, 1)), type(F.neg(x)),
+                type(F.add(1, x)), type(F.sub(1, x))} == {int}
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +387,28 @@ def _odometer(q, k, support):
     return out
 
 
+def test_sparse_vectors_holds_the_ball_once():
+    """The rows are filled in place: the peak allocation stays near the
+    result, not the result plus its support blocks."""
+    tracemalloc.start()
+    try:
+        Z = sparse_vectors(2, 30, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (sphere_volume(2, 30, 3), 30)
+    assert peak <= 1.2 * Z.nbytes
+
+
+def test_product_rows_index_the_product():
+    for q, k in [(2, 5), (3, 3), (5, 2), (4, 0)]:
+        rows = list(itertools.product(range(q), repeat=k))
+        idx = np.random.default_rng(q).permutation(len(rows))[:7]
+        got = product_rows(q, k, idx)
+        assert got.dtype == np.int64 and got.shape == (len(idx), k)
+        assert got.tolist() == [list(rows[i]) for i in idx]
+
+
 def test_support_vectors_match_an_odometer():
     for q in (2, 3, 4, 5):
         for k in range(5):
@@ -440,6 +470,26 @@ def test_span_cap_enforced():
     A = np.eye(8, dtype=np.int64)
     with pytest.raises(SpanCapExceeded):
         span_matrix(F, A, cap=100)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+def test_stacked_matmul_is_a_loop_of_products(q):
+    """Leading axes broadcast as in numpy's matmul: every matrix of the
+    stack equals the 2-D product, inner dimension 0 included."""
+    F = make_field(q)
+    rng = np.random.default_rng(q)
+    for lead in [(), (1,), (3,), (2, 3)]:
+        for inner in (0, 1, 4):
+            A = rng.integers(0, q, size=lead + (2, inner))
+            B = rng.integers(0, q, size=lead + (inner, 3))
+            for a, b in [(A, B), (A[(0,) * len(lead)], B),
+                         (A, B[(0,) * len(lead)])]:
+                C = F.matmul(a, b)
+                assert C.dtype == np.int64 and C.shape == lead + (2, 3)
+                for at in np.ndindex(*lead):
+                    want = F.matmul(a[at] if a.ndim > 2 else a,
+                                    b[at] if b.ndim > 2 else b)
+                    assert np.array_equal(C[at], want)
 
 
 def test_matmul_dot_against_scalar_loops():

@@ -1,7 +1,9 @@
 """Side-information families, the row-combination weight property, rho*,
 greedy construction, and weak resilience."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from indexcode import static_codes
 from indexcode.codes import min_rank, verify
 from indexcode.errors import BudgetExceeded
-from indexcode.fields import make_field, rank, weight
+from indexcode.fields import make_field, rank, sphere_volume, weight
 from indexcode.instances import iter_J, make_instance
 from indexcode.static_codes import (
     PARITY_NODE_BUDGET,
@@ -323,6 +325,68 @@ def test_find_parity_check_pinned(q, n, rho, N, want):
             assert rank(field, H[:, cols].T) == s
 
 
+def _batch_cases(rng, count):
+    """Seeded (field, n, rho, N) over GF(2)..GF(9) with at most 60
+    projective columns."""
+    out = []
+    while len(out) < count:
+        q = (2, 3, 4, 5, 7, 8, 9)[int(rng.integers(7))]
+        n = int(rng.integers(1, 7))
+        rho, N = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        if (q ** N - 1) // (q - 1) <= 60:
+            out.append((make_field(q), n, rho, N))
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 300])
+def test_parity_search_batches_keep_the_search(monkeypatch, cells):
+    """Working out a batch of a frame's columns at once, whatever the
+    batch size, gives the matrix, the None and the budget refusals of the
+    default batches."""
+    cases = _batch_cases(np.random.default_rng(8), 60)
+
+    def run():
+        out = []
+        for field, n, rho, N in cases:
+            for budget in (5, 50, 20_000):
+                try:
+                    H = find_parity_check(field, n, rho, N, budget=budget)
+                    out.append(None if H is None else H.tolist())
+                except BudgetExceeded:
+                    out.append("budget")
+        return out
+
+    whole = run()
+    assert {type(r) for r in whole} == {str, list, type(None)}
+    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    assert run() == whole
+
+
+@pytest.mark.parametrize("cells", [1, 300])
+def test_verify_rho_delta_blocks_keep_the_witness(monkeypatch, cells):
+    """Weighing a block of supports in one product, whatever the block
+    size, gives the verdict and the witness of the default blocks."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for field, n, _, N in _batch_cases(rng, 80):
+        L = rng.integers(0, field.q, size=(n, N + 1))
+        cases.append((field, L, int(rng.integers(1, n + 1)),
+                      int(rng.integers(0, 3))))
+
+    def run():
+        out = []
+        for field, L, rho, delta in cases:
+            ok, wit = verify_rho_delta(field, L, rho, delta)
+            out.append((ok, None if wit is None
+                        else (wit[0].tolist(), wit[1].tolist())))
+        return out
+
+    whole = run()
+    assert {ok for ok, _ in whole} == {True, False}
+    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    assert run() == whole
+
+
 # ---------------------------------------------------------------------------
 # length brackets
 # ---------------------------------------------------------------------------
@@ -449,6 +513,49 @@ def test_gv_greedy_slices_keep_the_first_admissible_row(monkeypatch, cells):
     assert {ok for ok, *_ in whole} == {True, False}
     monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
     assert run() == whole
+
+
+def test_gv_greedy_pinned_reports():
+    """A digest of the reports over GF(2), GF(3) and GF(4), n = 2..5, every
+    rho, delta = 0..2 and N = 1..8 where q^N * |V| * N <= 40,000, lex and
+    seeded: successes, dead ends and their partial matrices.  Taken from
+    a greedy that built the whole candidate pool before its first step."""
+    h = hashlib.sha256()
+    count = successes = 0
+    for q in (2, 3, 4):
+        for n in range(2, 6):
+            for rho in range(1, n + 1):
+                for delta in range(3):
+                    for N in range(1, 9):
+                        if q ** N * sphere_volume(q, n - 1, rho - 1) * N \
+                                > 40_000:
+                            continue
+                        for order, seed in (("lex", None), ("seeded", 5)):
+                            r = gv_greedy(n, rho, delta, q, N, order=order,
+                                          seed=seed)
+                            h.update(repr((
+                                n, rho, delta, q, N, order, r.success,
+                                r.rows_built, r.partial.tolist(),
+                                None if r.L is None else r.L.tolist(),
+                                r.inequality_holds)).encode())
+                            count += 1
+                            successes += r.success
+    assert (count, successes) == (1518, 658)
+    assert h.hexdigest() == ("9b1936bda1f1679eeb833fe58ddc0d98"
+                             "3e44976c761ab52df63250c3896aa86f")
+
+
+def test_gv_greedy_never_holds_the_candidate_pool():
+    """Each slice is built from its indices: at N = 16 the whole pool of
+    2^16 candidates would take 8 MiB as int64 rows."""
+    tracemalloc.start()
+    try:
+        rep = gv_greedy(4, 2, 1, 2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.success
+    assert peak < 4 * 2**20
 
 
 def test_gv_greedy_validation():
