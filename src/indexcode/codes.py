@@ -179,9 +179,11 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     children share P, so one product serves them all.  With b rows in that
     block, a stack holds BLOCK_CELLS // (b n^2) children (at least one):
     over an extension field the stacked product forms b x n x n entries
-    per child, so it stays within about BLOCK_CELLS of them.  The children
-    are still visited one by one, in candidate order, so the nodes, memo
-    hits and result are those of a frame that steps one child at a time.
+    per child, so it stays within about BLOCK_CELLS of them.  A child whose
+    (depth, P) has already failed is left out of the product: it returns at
+    its memo check before reading it.  The children are still visited one
+    by one, in candidate order, so the nodes, memo hits and result are
+    those of a frame that steps one child at a time.
 
     node_budget caps the DFS nodes: one global count summed over every
     target rank and both passes.  When it runs out the result is the
@@ -213,14 +215,14 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
         # children per stack at each depth but the last
         batch = [max(1, BLOCK_CELLS // (len(C) * n * n)) for C in firsts[1:]]
 
-        def dfs(dpt, P, rk, res, up):
-            # res: the first candidate block of this depth reduced by P;
-            # up: which of its rows are nonzero, that is, raise the rank
+        def dfs(dpt, P, key, rk, res, up):
+            # key: P.tobytes(); res: the first candidate block of this depth
+            # reduced by P, None when (dpt, key) had already failed; up:
+            # which rows of res are nonzero, that is, raise the rank
             nodes[0] += 1
             if nodes[0] > node_budget:
                 raise _Budget
-            key = (dpt, P.tobytes())
-            if key in failed:
+            if (dpt, key) in failed:
                 return None
             last = dpt + 1 == m
             shared = None   # what every free child receives
@@ -245,23 +247,38 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
                         j = t % batch[dpt]
                         if j == 0:
                             Ps = project(P, R[t:t + batch[dpt]])
-                            Rs = field.matmul(firsts[dpt + 1], Ps)
-                            Us = Rs.any(axis=2)
-                        sub = dfs(dpt + 1, Ps[j], rk + 1, Rs[j], Us[j])
+                            keys = [Q.tobytes() for Q in Ps]
+                            Rs = [None] * len(Ps)
+                            Us = [None] * len(Ps)
+                            # failed only grows: a child whose state has
+                            # failed already reads no product
+                            miss = [i for i, kb in enumerate(keys)
+                                    if (dpt + 1, kb) not in failed]
+                            if miss:
+                                prod = field.matmul(firsts[dpt + 1], Ps[miss])
+                                for i, Q, U in zip(miss, prod,
+                                                   prod.any(axis=2)):
+                                    Rs[i], Us[i] = Q, U
+                        sub = dfs(dpt + 1, Ps[j], keys[j], rk + 1,
+                                  Rs[j], Us[j])
                         t += 1
                     else:
                         if shared is None:
-                            nxt = (field.matmul(firsts[dpt + 1], P) if rk
-                                   else firsts[dpt + 1])
-                            shared = nxt, nxt.any(axis=1)
-                        sub = dfs(dpt + 1, P, rk, *shared)
+                            if (dpt + 1, key) in failed:
+                                shared = None, None
+                            else:
+                                nxt = (field.matmul(firsts[dpt + 1], P)
+                                       if rk else firsts[dpt + 1])
+                                shared = nxt, nxt.any(axis=1)
+                        sub = dfs(dpt + 1, P, key, rk, *shared)
                     if sub is not None:
                         return [C[code]] + sub
-            failed.add(key)
+            failed.add((dpt, key))
             return None
 
         try:
-            return dfs(0, np.eye(n, dtype=np.int64), 0, firsts[0],
+            root = np.eye(n, dtype=np.int64)
+            return dfs(0, root, root.tobytes(), 0, firsts[0],
                        firsts[0].any(axis=1))
         finally:
             del dfs  # dfs names itself through a cell: free the memo now

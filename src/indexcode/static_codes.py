@@ -151,33 +151,39 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
 
     A frame works out what each of its allowed columns would forbid all at
     once, one projective_index call for a batch of columns whose sums take
-    about BLOCK_CELLS entries.  budget caps the columns visited, allowed
-    or not.
+    about BLOCK_CELLS entries.  The weight <= rho-2 combinations at a depth
+    are built the first time the search reaches it and kept.  budget caps
+    the columns visited, allowed or not.
     """
     reps = np.array(projective_reps(field, N), dtype=np.int64)
-    # a column c joining forbids c + z.chosen for every z of weight <= rho-2
-    light = [sparse_vectors(field.q, k, rho - 2) for k in range(n)]
+    # a column c joining forbids c + z.chosen for every z of weight <= rho-2;
+    # light[k] holds those z at depth k, for the depths reached so far
+    light = []
     nodes = 0
     chosen = []
 
-    def extend(start, forbidden):
+    def visit(count):
         nonlocal nodes
+        nodes += count
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"parity-check search exceeded {budget} nodes")
+
+    def extend(start, forbidden):
         k = len(chosen)
         if k == n:
             return True
+        if k == len(light):
+            light.append(sparse_vectors(field.q, k, rho - 2))
         combos = field.matmul(light[k],
                               np.array(chosen, dtype=np.int64).reshape(k, N))
         allowed = [idx for idx in range(start, len(reps))
                    if not forbidden >> idx & 1]
         batch = max(1, BLOCK_CELLS // max(1, len(combos) * N))
-        t = 0   # allowed columns visited
-        for idx in range(start, len(reps)):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(
-                    f"parity-check search exceeded {budget} nodes")
-            if forbidden >> idx & 1:
-                continue
+        seen = start   # the columns before seen are counted
+        for t, idx in enumerate(allowed):
+            visit(idx + 1 - seen)   # the forbidden columns skipped, and idx
+            seen = idx + 1
             if t % batch == 0:
                 cols = reps[allowed[t:t + batch], None, :]
                 hit = projective_index(
@@ -186,11 +192,11 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
             grown = forbidden
             for u in hits[t % batch]:
                 grown |= 1 << u
-            t += 1
             chosen.append(reps[idx])
             if extend(idx, grown):
                 return True
             chosen.pop()
+        visit(len(reps) - seen)
         return False
 
     try:

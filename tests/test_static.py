@@ -362,6 +362,20 @@ def test_parity_search_batches_keep_the_search(monkeypatch, cells):
     assert run() == whole
 
 
+def test_parity_search_builds_only_the_depths_it_reaches():
+    """A budget of 100 columns stops the search by depth 7, so its memory
+    follows that depth and the batch cap, not n: the weight <= 6
+    combinations of 23 chosen columns alone would take 26 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            find_parity_check(make_field(2), 24, 8, 8, budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize("cells", [1, 300])
 def test_verify_rho_delta_blocks_keep_the_witness(monkeypatch, cells):
     """Weighing a block of supports in one product, whatever the block
