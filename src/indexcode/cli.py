@@ -423,7 +423,7 @@ def build_parser():
     c.add_argument("method", choices=("concat", "lift", "random", "search"))
     c.add_argument("--instance", required=True)
     c.add_argument("--delta", type=int, required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_int_at_least(0), default=0)
     c.add_argument("--max-n", type=_int_at_least(1), dest="max_n",
                    default=None,
                    help="length to sample at (random) / search ceiling (search)")
@@ -452,7 +452,7 @@ def build_parser():
     s.add_argument("--matrix", required=True)
     s.add_argument("--delta", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_int_at_least(0), required=True)
     s.add_argument("--exhaustive", action="store_true",
                    help="enumerate every message and error instead of sampling")
     s.add_argument("--forced-weight", type=int, dest="forced_weight",
@@ -488,7 +488,7 @@ def build_parser():
     sc.add_argument("--length", type=int, required=True,
                     help="number of columns N")
     sc.add_argument("--order", choices=("lex", "seeded"), default="lex")
-    sc.add_argument("--seed", type=int, default=0,
+    sc.add_argument("--seed", type=_int_at_least(0), default=0,
                     help="permutation seed (seeded order only)")
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_static_construct)

@@ -64,9 +64,10 @@ def make_view(inst, field, i, y, side):
                                           for k, v in side.items())))
 
 
-def transmit(inst, field, L, x, error, i):
-    """The view receiver i gets when x is broadcast through L plus an error."""
-    L = check_matrix(field, L)
+def check_broadcast(inst, field, L, x, error):
+    """x (n entries) and error (N entries) as int64 arrays over the field;
+    ValueError names the first one of the wrong length or with an entry
+    outside 0..q-1."""
     x = np.asarray(x, dtype=np.int64)
     error = np.asarray(error, dtype=np.int64)
     for name, v, size in (("x", x, inst.n), ("error", error, L.shape[1])):
@@ -74,6 +75,13 @@ def transmit(inst, field, L, x, error, i):
             raise ValueError(f"{name} must have {size} entries")
         if v.min(initial=0) < 0 or v.max(initial=0) >= field.q:
             raise ValueError(f"{name} entries must lie in 0..{field.q - 1}")
+    return x, error
+
+
+def transmit(inst, field, L, x, error, i):
+    """The view receiver i gets when x is broadcast through L plus an error."""
+    L = check_matrix(field, L)
+    x, error = check_broadcast(inst, field, L, x, error)
     y = field.add_arr(field.matmul(x[None, :], L)[0], error)
     return make_view(inst, field, i, y, {j: int(x[j]) for j in inst.X[i]})
 

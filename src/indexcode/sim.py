@@ -2,20 +2,36 @@
 
 Single runs record per-receiver outcomes; campaigns tally seeded random
 trials or enumerate every case outright at desk scale.  Trial t of a
-campaign is generated by ``np.random.default_rng((seed, t))``, so campaigns
-reproduce bit for bit and their statistics cannot depend on how the trials
-are split across workers.
+campaign draws from the stream of ``np.random.default_rng((seed, t))``, so
+campaigns reproduce bit for bit and their statistics cannot depend on how
+the trials are split across workers.
+
+Building that generator per trial costs a SeedSequence and a PCG64 only
+to run a fixed hash and one 128-bit LCG step.  `_trial_states` runs both
+for a block of trials at once instead: NumPy's SeedSequence mixing of the
+entropy words ``words(seed) + [t]`` as uint32 array arithmetic, one column
+per trial, then PCG64's set-seed step in Python ints; one Generator loads
+each state in turn.  The result is exact, not a lookalike: the hash
+(O'Neill's seed_seq design, as numpy implements it) and the set-seed step
+(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation") are fixed, documented
+algorithms, and the tests compare states and draws with default_rng's.
+The seed must be a non-negative integer, and t one 32-bit entropy word, so
+a campaign runs at most 2**32 trials.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .decoding import COSET_BUDGET, Decoder, block_rows, decode, make_view
+from .decoding import (COSET_BUDGET, Decoder, block_rows, check_broadcast,
+                       decode, make_view)
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import (check_matrix, make_field, product_rows, sparse_blocks,
                      sphere_volume)
@@ -50,11 +66,7 @@ def simulate_once(inst, field, L, delta, x, error,
     structurally unusable matrix) are recorded per receiver, never raised.
     """
     L = check_matrix(field, L)
-    n, N = L.shape
-    x = np.asarray(x, dtype=np.int64)
-    error = np.asarray(error, dtype=np.int64)
-    if x.shape != (n,) or error.shape != (N,):
-        raise ValueError("x must have n entries and error N entries")
+    x, error = check_broadcast(inst, field, L, x, error)
     c = field.matmul(x[None, :], L)[0]
     y = field.add_arr(c, error)
     x_hat, correct, notes = [], [], []
@@ -143,20 +155,107 @@ def _decoder_or_none(inst, field, L, delta, budget):
         return None
 
 
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+MAX_TRIALS = 2 ** 32         # a trial index is one 32-bit entropy word
+
+
+def _hash_keys(init, mult, count):
+    # the hash's multipliers do not depend on the data: key k is
+    # init * mult^k mod 2^32, and hash call k xors key k, multiplies by k+1
+    keys = [init]
+    for _ in range(count):
+        keys.append(keys[-1] * mult & 0xFFFFFFFF)
+    return np.array(keys, dtype=np.uint32)
+
+
+@functools.cache
+def _mix_steps(words):
+    """(xor, multiply) key columns, shape (4, 1), for each step of
+    SeedSequence.mix_entropy on `words` entropy words: fill the pool of
+    four, then four rounds that hash pool word `src` into the other three
+    (row src of a round is a dummy, its result thrown away), then one step
+    per entropy word past the pool, hashed into all four."""
+    keys = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4))
+    calls = [list(range(4))]
+    calls += [[4 + 3 * src + dst - (dst > src) if dst != src else 0
+               for dst in range(4)] for src in range(4)]
+    calls += [list(range(k, k + 4)) for k in range(16, len(keys) - 1, 4)]
+    return [(keys[c][:, None], keys[[k + 1 for k in c]][:, None])
+            for c in calls]
+
+
+_GEN_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
+# generate_state(4, uint64) hashes the pool twice over: (2, 4, 1) keys
+_GEN_X, _GEN_M = _GEN_KEYS[:8].reshape(2, 4, 1), _GEN_KEYS[1:].reshape(2, 4, 1)
+
+
+def _hashmix(v, x, m):
+    v = (v ^ x) * m
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _trial_states(seed, start, stop):
+    """PCG64 states of default_rng((seed, t)) for t in start..stop-1, as
+    values for `bit_generator.state`; 0 <= seed, stop <= MAX_TRIALS.
+
+    Every array holds uint32 words, one column per trial, so products wrap
+    mod 2^32 as the C hash's do."""
+    seed = operator.index(seed)
+    words = [seed & 0xFFFFFFFF]          # little-endian 32-bit words
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+    s = len(words)
+    (x, m), *rounds = _mix_steps(s + 1)
+    entropy = np.zeros((max(4, s + 1), stop - start), dtype=np.uint32)
+    entropy[:s] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[s] = np.arange(start, stop, dtype=np.uint64)
+    pool = _hashmix(entropy[:4], x, m)
+    for src, (x, m) in enumerate(rounds[:4]):
+        mixed = _mix(pool, _hashmix(pool[src], x, m))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, (x, m) in zip(entropy[4:], rounds[4:]):
+        pool = _mix(pool, _hashmix(word, x, m))
+    out = _hashmix(pool, _GEN_X, _GEN_M).reshape(8, -1)
+    # word pairs make the uint64s (seed high, seed low, inc high, inc low)
+    pairs = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in pairs.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     field = make_field(q)
     decoder = _decoder_or_none(inst, field, L, delta, budget)
     n, N = L.shape
     step = block_rows(n, N)
+    # a fixed seed: every trial overwrites the state before it draws
+    rng = np.random.Generator(np.random.PCG64(0))
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
         X = np.empty((b - a, n), dtype=np.int64)
         E = np.empty((b - a, N), dtype=np.int64)
-        for t in range(a, b):
-            rng = np.random.default_rng((seed, t))
-            X[t - a] = rng.integers(0, q, size=n)
-            E[t - a] = draw_error(rng, field, N, delta, forced_weight)
+        for row, state in enumerate(_trial_states(seed, a, b)):
+            rng.bit_generator.state = state
+            X[row] = rng.integers(0, q, size=n)
+            E[row] = draw_error(rng, field, N, delta, forced_weight)
         parts.append(_tally(inst, field, L, decoder, X, E))
     return parts
 
@@ -168,7 +267,12 @@ def trial_campaign(inst, field, L, delta, trials, seed,
 
     Random mode runs `trials` draws: x uniform, error weight uniform on
     0..min(delta, N) (or exactly forced_weight), then support and values
-    uniform.
+    uniform.  Trial t draws from the stream of default_rng((seed, t)); the
+    states of a block of trials are hashed together (`_trial_states`,
+    exact to the bit) and loaded into one Generator.  seed must be a
+    non-negative integer (TypeError, ValueError otherwise) and trials lies
+    in 1..MAX_TRIALS = 2**32, the trial indices one 32-bit entropy word
+    holds; both are checked before a Decoder is built.
     Exhaustive mode ignores `trials` and `seed` and enumerates every
     message vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.
@@ -218,8 +322,12 @@ def trial_campaign(inst, field, L, delta, trials, seed,
                                     np.tile(errors, (len(X), 1))))
         return _merge(parts, "exhaustive")
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in 1..{MAX_TRIALS}")
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if workers > 1:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         args = [(inst, field.q, L, delta, seed, int(a), int(b),

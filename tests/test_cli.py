@@ -415,6 +415,23 @@ def test_negative_budget_and_nonpositive_workers_are_usage_errors(
     assert "must be >= 0" in err or "must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--instance", "k3", "--matrix", "k3L", "--delta", "1",
+     "--trials", "1"],
+    ["construct", "random", "--instance", "k3", "--delta", "1"],
+    ["static", "construct", "--n", "4", "--rho", "2", "--delta", "1",
+     "--q", "2", "--length", "7", "--order", "seeded"],
+])
+def test_negative_seeds_are_usage_errors(files, capsys, argv):
+    # numpy seeds are non-negative; a negative one used to fail inside
+    # numpy after the inputs were loaded
+    argv = [files.get(a, a) for a in argv] + ["--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_zero_budget_is_a_budget_stop(files, capsys):
     assert main(["minrank", "--instance", files["k3"], "--budget", "0",
                  "--format", "json"]) == BUDGET

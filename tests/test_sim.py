@@ -66,6 +66,21 @@ def test_simulate_once_validation(F2, k3, k3_L):
                       np.zeros(5, dtype=np.int64))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_simulate_once_rejects_entries_outside_the_field(q, k3, k3_L):
+    # entries equal to q used to act as zero over GF(2), raise IndexError
+    # over GF(4), or be blamed on the received word
+    field = make_field(q)
+    x, e = np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    for bad in (q, -1):
+        wrong_x, wrong_e = x.copy(), e.copy()
+        wrong_x[0] = wrong_e[0] = bad
+        with pytest.raises(ValueError, match="^x entries"):
+            simulate_once(k3, field, k3_L, 1, wrong_x, e)
+        with pytest.raises(ValueError, match="^error entries"):
+            simulate_once(k3, field, k3_L, 1, x, wrong_e)
+
+
 # ---------------------------------------------------------------------------
 # error draws
 # ---------------------------------------------------------------------------
@@ -220,6 +235,59 @@ def test_campaign_validation(F2, k3, k3_L):
         trial_campaign(k3, F2, k3_L, 1, 0, 0)
     with pytest.raises(ValueError):
         trial_campaign(k3, F2, k3_L, 1, 10, 0, forced_weight=9)
+
+
+def _no_decoder(*args):
+    raise AssertionError("the Decoder was built before the check")
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (np.int64(-3), ValueError),
+    (1.0, TypeError), (None, TypeError), ("3", TypeError),
+])
+def test_campaign_rejects_seeds_outside_the_domain(monkeypatch, F2, k3, k3_L,
+                                                   seed, error):
+    monkeypatch.setattr(sim, "_decoder_or_none", _no_decoder)
+    with pytest.raises(error, match="seed"):
+        trial_campaign(k3, F2, k3_L, 1, 10, seed)
+
+
+def test_campaign_caps_trials_at_one_entropy_word(monkeypatch, F2, k3, k3_L):
+    # trial t is one 32-bit entropy word of its seed; refused up front
+    assert sim.MAX_TRIALS == 2 ** 32
+    monkeypatch.setattr(sim, "_decoder_or_none", _no_decoder)
+    with pytest.raises(ValueError, match="trials"):
+        trial_campaign(k3, F2, k3_L, 1, sim.MAX_TRIALS + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# block seeding against default_rng
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3,
+                                  2**200 + 17, np.int64(7), True])
+def test_block_seeding_is_default_rng(F3, seed):
+    # the blocks a campaign on a 5 x 9 matrix runs: trial 0 and both sides
+    # of the first block boundary, and the last trial a campaign can run
+    step = sim.block_rows(5, 9)
+    last = (sim.MAX_TRIALS - 1) // step * step
+    rng = np.random.Generator(np.random.PCG64(0))
+    for a, ts in ((0, (0, step - 1)), (step, (step,)),
+                  (last, (sim.MAX_TRIALS - 1,))):
+        states = sim._trial_states(seed, a, min(a + step, sim.MAX_TRIALS))
+        assert len(states) == min(step, sim.MAX_TRIALS - a)
+        for t in ts:
+            ref = np.random.default_rng((seed, t))
+            rng.bit_generator.state = states[t - a]
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert (rng.integers(0, 3, size=5).tolist()
+                    == ref.integers(0, 3, size=5).tolist())
+            assert (draw_error(rng, F3, 9, 3).tolist()
+                    == draw_error(ref, F3, 9, 3).tolist())
+            assert rng.integers(2**64, dtype=np.uint64) == ref.integers(
+                2**64, dtype=np.uint64)
+            assert rng.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------
