@@ -22,19 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoding import BLOCK_CELLS
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
-from .fields import (check_matrix, combination_blocks, matrix_from_text,
-                     matrix_to_text, rref, solve_one, sphere_volume, weight)
+from .fields import (block_rows, check_matrix, combination_blocks,
+                     matrix_from_text, matrix_to_text, rref, solve_one,
+                     sphere_volume, weight)
 from .instances import instance_hash, iter_I, y_set
 from .search import (SEARCH_BUDGET, min_length_search, projective_index,
                      projective_reps)
 
 VERIFY_SPAN_CAP = 2**22
 MIN_RANK_BUDGET = 5_000_000     # default min_rank DFS nodes
-# rows a min_rank node reduces, or verify weighs, in one step; a receiver
-# with more combinations is handled block by block, in the same order
-MIN_RANK_BLOCK = 2**12
 
 
 @dataclass
@@ -69,7 +66,7 @@ def _scan_receiver_spans(inst, field, L, span_cap):
             raise SpanCapExceeded(
                 f"receiver {i}: {size} combinations exceed cap {span_cap}")
         at = 0   # index of the block's first combination
-        for vecs in combination_blocks(field, L[yi], MIN_RANK_BLOCK,
+        for vecs in combination_blocks(field, L[yi], block_rows(L.shape[1]),
                                        base=L[inst.f[i]]):
             wts = np.count_nonzero(vecs, axis=1)
             idx = int(np.argmin(wts))
@@ -93,9 +90,9 @@ def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP,
     """Check that L corrects delta errors for every receiver of inst.
 
     method "receiver-span" scans each receiver's L_f(i) + span(L[Y_i]) a
-    block at a time and raises SpanCapExceeded when some q^|Y_i| exceeds
-    span_cap.  "stream" is the definitional oracle: one product z L per
-    confusable vector z of iter_I.
+    block_rows(N) block at a time and raises SpanCapExceeded when some
+    q^|Y_i| exceeds span_cap.  "stream" is the definitional oracle: one
+    product z L per confusable vector z of iter_I.
     """
     L = check_matrix(field, L)
     if L.shape[0] != inst.n:
@@ -160,7 +157,7 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
 
     Each receiver's q^|X_i| candidate rows are tried in one order (the
     coefficient of the last element of sorted X_i cycles fastest), taken
-    from combination_blocks of MIN_RANK_BLOCK rows built once.  The row
+    from combination_blocks of block_rows(n) rows built once.  The row
     space is carried as its n x n projection P, which maps a row v to its
     residual against the space: v less the combination of the basis rows
     that clears v at the pivot columns of the space's reduced row echelon
@@ -177,9 +174,9 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     receiver's first candidate block by every one of them in one stacked
     product, which each child receives with its projection; the free
     children share P, so one product serves them all.  With b rows in that
-    block, a stack holds BLOCK_CELLS // (b n^2) children (at least one):
-    over an extension field the stacked product forms b x n x n entries
-    per child, so it stays within about BLOCK_CELLS of them.  A child whose
+    block, a stack holds block_rows(b n^2) children: over an extension
+    field the stacked product forms b x n x n entries per child, so it
+    stays within about fields.BLOCK_CELLS of them.  A child whose
     (depth, P) has already failed is left out of the product: it returns at
     its memo check before reading it.  The children are still visited one
     by one, in candidate order, so the nodes, memo hits and result are
@@ -195,7 +192,7 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     order = sorted(range(m), key=lambda i: (-len(Xs[i]), i))
     nodes = [0]
     unit = np.eye(n, dtype=np.int64)
-    candidates = [combination_blocks(field, unit[Xs[i][::-1]], MIN_RANK_BLOCK,
+    candidates = [combination_blocks(field, unit[Xs[i][::-1]], block_rows(n),
                                      base=unit[inst.f[i]]) for i in range(m)]
 
     def project(P, R):
@@ -213,7 +210,7 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
         blocks = [candidates[i] for i in rec_order]
         firsts = [next(iter(b)) for b in blocks]
         # children per stack at each depth but the last
-        batch = [max(1, BLOCK_CELLS // (len(C) * n * n)) for C in firsts[1:]]
+        batch = [block_rows(len(C) * n * n) for C in firsts[1:]]
 
         def dfs(dpt, P, key, rk, res, up):
             # key: P.tobytes(); res: the first candidate block of this depth

@@ -24,19 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (check_matrix, kernel_basis, solve_one, span_matrix,
-                     sparse_blocks, sparse_vectors, sphere_volume, weight)
+from .fields import (block_rows, check_matrix, kernel_basis, solve_one,
+                     span_matrix, sparse_blocks, sparse_vectors,
+                     sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
-BLOCK_CELLS = 1 << 16      # int64 entries in a block's largest intermediate
-
-
-def block_rows(n, N):
-    """Rows per block of words of length N (messages of length n) so that
-    the widest intermediate, the T x n x N or T x N x N products of an
-    extension-field matmul, stays within BLOCK_CELLS entries."""
-    return max(1, BLOCK_CELLS // max(1, N * max(n, N)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
         raise BudgetExceeded(
             f"coset search of {total} patterns exceeds budget {budget}")
     cost = 0
-    for E in sparse_blocks(field.q, N, delta, block_rows(0, N)):
+    for E in sparse_blocks(field.q, N, delta, block_rows(N * N)):
         hits = np.flatnonzero((field.matmul(E, H.T) == beta).all(axis=1))
         if len(hits):
             return E[hits[0]].copy(), cost + int(hits[0]) + 1
@@ -267,7 +260,7 @@ class Decoder:
             raise BudgetExceeded("leader table larger than budget")
         # a leader is the first pattern of its key in this order
         self._patterns = E = sparse_vectors(q, N, delta)
-        rows = block_rows(0, N)
+        rows = block_rows(N * N)
         self._tables = []
         for i in range(inst.m):
             H = code_Ci(inst, field, self.L, i)[1]

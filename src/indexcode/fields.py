@@ -13,10 +13,11 @@ Each field keeps a table of inverses.
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
 takes the Field explicitly.  This module owns the enumeration orders
 (solution sweeps, all_combinations of rows and combination_blocks of it,
-support_vectors per support and sparse_vectors by weight built on it,
-product_rows for rows of itertools.product) and the Hamming-ball count
-sphere_volume; they are fixed and documented so that
-searches built on top are reproducible bit for bit.
+product_rows for rows of itertools.product, and the small-support vectors
+of support_vectors, sparse_vectors and sparse_blocks, all written by
+fill_supports) and the Hamming-ball count sphere_volume; they are fixed and
+documented so that searches built on top are reproducible bit for bit.
+block_rows sizes every array step in the package.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ class Field:
         matmul, so one call multiplies a whole stack of matrices: A of
         shape (..., a, k) and B of shape (..., k, c) give (..., a, c).  An
         extension field forms every product first, (..., a, k, c) entries,
-        so callers that stack cut their stacks to about
-        decoding.BLOCK_CELLS of those."""
+        so callers that stack cut their stacks with block_rows to about
+        BLOCK_CELLS of those."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if A.shape[-1] != B.shape[-2]:
@@ -259,6 +260,15 @@ class Field:
 
     def matvec(self, A, x):
         return self.matmul(A, np.asarray(x, dtype=np.int64).reshape(-1, 1))[:, 0]
+
+
+BLOCK_CELLS = 1 << 16   # int64 entries in an array step's largest intermediate
+
+
+def block_rows(width):
+    """Rows per array step (at least one) when each row adds `width` entries
+    to the step's largest intermediate, to keep it within BLOCK_CELLS."""
+    return max(1, BLOCK_CELLS // max(1, width))
 
 
 _FIELD_CACHE = {}
@@ -359,9 +369,9 @@ def kernel_basis(field, A):
 def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
     """Yield every solution x of A @ x = b.
 
-    Order: the free-variables-zero particular solution first, then an odometer
-    over free-variable values in ascending column index (last free column
-    cycles fastest), values in ascending code order.  Yields nothing when
+    Order: the free-variables-zero particular solution first, then the
+    free-variable values in product_rows order over ascending free columns
+    (last free column fastest, values ascending).  Yields nothing when
     inconsistent; exactly q**(cols - rank) solutions otherwise.  One
     elimination of [A | b] gives both: when it has no pivot in the rhs
     column its first cols columns are the rref of A.
@@ -386,14 +396,8 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
     # built only when a caller asks for more than the first solution
     ker = _kernel_from_rref(field, R, pivots, cols)
     for t in range(1, total):
-        x = x0.copy()
-        tt = t
-        for k in range(nfree - 1, -1, -1):
-            c = tt % field.q
-            tt //= field.q
-            if c:
-                x = field.add_arr(x, field.mul_arr(c, ker[k]))
-        yield x
+        c = product_rows(field.q, nfree, [t])
+        yield field.add_arr(x0, field.matmul(c, ker)[0])
 
 
 def solve_one(field, A, b):
@@ -430,27 +434,31 @@ def support_vectors(q, k, support):
     """The (q-1)**len(support) vectors of F_q^k whose support is exactly
     `support` (sorted positions), as one array: the nonzero values
     ascending, the last position fastest."""
-    out = np.zeros(((q - 1) ** len(support), k), dtype=np.int64)
-    _fill_support(out, q, support)
+    S = np.array(support, dtype=np.int64).reshape(1, -1)
+    return fill_supports(np.zeros(((q - 1) ** S.shape[1], k), np.int64), q, S)
+
+
+def fill_supports(out, q, S):
+    """Write support_vectors(q, k, S[i]) for each row i of the (s, w)
+    supports S, one after another, into out, a C-contiguous block of
+    s (q-1)**w zero rows, and return out."""
+    s, w = S.shape
+    values = np.arange(1, q)[:, None]
+    for j in range(w):
+        # the value at position j steps every (q-1)**(w-1-j) rows
+        out.reshape(s, (q - 1) ** j, q - 1, (q - 1) ** (w - 1 - j), -1)[
+            np.arange(s), ..., S[:, j]] = values
     return out
 
 
-def _fill_support(out, q, support):
-    """Write support_vectors(q, k, support) into out, a C-contiguous block
-    of that many zero rows."""
-    w, k = len(support), out.shape[1]
-    values = np.arange(1, q)[:, None]
-    for j, pos in enumerate(support):
-        # the value at position j steps every (q-1)**(w-1-j) rows
-        out.reshape(-1, q - 1, (q - 1) ** (w - 1 - j), k)[..., pos] = values
-
-
-def _support_blocks(q, k, r):
-    """support_vectors of every support of size <= r, in sparse_vectors
-    order."""
-    for w in range(min(r, k) + 1):
-        for support in itertools.combinations(range(k), w):
-            yield support_vectors(q, k, support)
+def lex_supports(k, w, count):
+    """The supports of size w in range(k), in lex order, as (s, w) arrays
+    of at most `count` rows."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), w))
+    total = comb(k, w)
+    for at in range(0, total, count):
+        s = min(count, total - at)
+        yield np.fromiter(flat, dtype=np.int64, count=s * w).reshape(s, w)
 
 
 def sparse_vectors(q, k, r):
@@ -459,15 +467,15 @@ def sparse_vectors(q, k, r):
 
     Order: the zero vector first, then weight ascending, support lex, and
     within a support support_vectors order.  The rows are filled in place,
-    a support at a time, so the ball is held once.
+    a weight at a time, so the ball is held once.
     """
     out = np.zeros((sphere_volume(q, k, r), k), dtype=np.int64)
     at = 1   # the zero vector
     for w in range(1, min(r, k) + 1):
-        size = (q - 1) ** w
-        for support in itertools.combinations(range(k), w):
-            _fill_support(out[at:at + size], q, support)
-            at += size
+        size = comb(k, w) * (q - 1) ** w
+        (S,) = lex_supports(k, w, comb(k, w))   # every support, one array
+        fill_supports(out[at:at + size], q, S)
+        at += size
     return out
 
 
@@ -476,15 +484,18 @@ def sparse_blocks(q, k, r, size):
     (the last one shorter), so a caller can work on many vectors at once
     while holding about one block."""
     pending, held = [], 0
-    for block in _support_blocks(q, k, r):
-        pending.append(block)
-        held += len(block)
-        if held >= size:
-            rows = np.concatenate(pending)
-            cut = held - held % size
-            for at in range(0, cut, size):
-                yield rows[at:at + size]
-            pending, held = [rows[cut:]], held - cut
+    for w in range(min(r, k) + 1):
+        per = (q - 1) ** w
+        for S in lex_supports(k, w, max(1, size // per)):
+            pending.append(fill_supports(
+                np.zeros((len(S) * per, k), dtype=np.int64), q, S))
+            held += len(S) * per
+            if held >= size:
+                rows = np.concatenate(pending)
+                cut = held - held % size
+                for at in range(0, cut, size):
+                    yield rows[at:at + size]
+                pending, held = [rows[cut:]], held - cut
     if held:
         yield np.concatenate(pending)
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .decoding import (COSET_BUDGET, Decoder, block_rows, check_broadcast,
-                       decode, make_view)
+from .decoding import (COSET_BUDGET, Decoder, check_broadcast, decode,
+                       make_view)
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (check_matrix, make_field, product_rows, sparse_blocks,
-                     sphere_volume)
+from .fields import (block_rows, check_matrix, make_field, product_rows,
+                     sparse_blocks, sphere_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     field = make_field(q)
     decoder = _decoder_or_none(inst, field, L, delta, budget)
     n, N = L.shape
-    step = block_rows(n, N)
+    step = block_rows(N * max(n, N))
     # a fixed seed: every trial overwrites the state before it draws
     rng = np.random.Generator(np.random.PCG64(0))
     parts = []
@@ -306,7 +306,7 @@ def trial_campaign(inst, field, L, delta, trials, seed,
                 f"exhaustive campaign of {cases} cases exceeds budget {budget}")
         decoder = _decoder_or_none(inst, field, L, delta, budget)
         parts = []
-        step = block_rows(n, N)
+        step = block_rows(N * max(n, N))
         for errors in sparse_blocks(field.q, N, cap, step):
             if forced_weight is not None:
                 errors = errors[np.count_nonzero(errors, axis=1)

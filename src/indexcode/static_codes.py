@@ -14,17 +14,16 @@ under partial input fixing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .bounds import SEARCH_POINT_CAP, CodeTableEntry, griesmer_lower, nq_kd
-from .decoding import BLOCK_CELLS
 from .errors import BudgetExceeded
-from .fields import (check_matrix, make_field, product_rows, rank,
-                     span_matrix, sparse_vectors, sphere_volume,
-                     support_vectors)
+from .fields import (block_rows, check_matrix, fill_supports, lex_supports,
+                     make_field, product_rows, rank, span_matrix,
+                     sparse_vectors, sphere_volume)
 from .instances import Instance, make_instance
 from .search import projective_index, projective_reps
 
@@ -100,8 +99,7 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
     Supports are scanned by (size, lex); within a support the leading
     coefficient is fixed to 1 (scaling cannot change a weight), which keeps
     the first (q-1)**(size-1) rows of its support_vectors block.  One
-    matmul weighs a block of supports of one size, as many as keep its
-    products within BLOCK_CELLS entries.
+    matmul weighs a block of supports of one size, block_rows of them.
     budget caps the vectors scanned: (sphere_volume(q, n, rho) - 1) / (q - 1).
     """
     L = check_matrix(field, L)
@@ -116,17 +114,12 @@ def verify_rho_delta(field, L, rho, delta, budget=COMBO_BUDGET):
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
     need = 2 * delta + 1
     for size in range(1, rho + 1):
-        # the coefficients after the leading 1, in support_vectors order
-        vals = support_vectors(q, size - 1, range(size - 1))
-        per = max(1, BLOCK_CELLS // max(1, len(vals) * n * N))
-        supports = combinations(range(n), size)
-        while block := list(islice(supports, per)):
-            # one row per (support, coefficients) pair, supports in lex order
-            S = np.repeat(np.array(block), len(vals), axis=0)
-            at = np.arange(len(S))
-            Z = np.zeros((len(S), n), dtype=np.int64)
-            Z[at, S[:, 0]] = 1
-            Z[at[:, None], S[:, 1:]] = np.tile(vals, (len(block), 1))
+        lead = (q - 1) ** (size - 1)   # rows per support
+        for S in lex_supports(n, size, block_rows(lead * n * N)):
+            # a 1 at each support's first position, support_vectors after
+            Z = np.zeros((len(S) * lead, n), dtype=np.int64)
+            Z.reshape(len(S), lead, n)[np.arange(len(S)), :, S[:, 0]] = 1
+            fill_supports(Z, q, S[:, 1:])
             combos = field.matmul(Z, L)
             bad = np.nonzero(np.count_nonzero(combos, axis=1) < need)[0]
             if len(bad):
@@ -150,10 +143,10 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
     representatives tracks the columns lying in those spans.
 
     A frame works out what each of its allowed columns would forbid all at
-    once, one projective_index call for a batch of columns whose sums take
-    about BLOCK_CELLS entries.  The weight <= rho-2 combinations at a depth
-    are built the first time the search reaches it and kept.  budget caps
-    the columns visited, allowed or not.
+    once, one projective_index call for a batch of block_rows columns.
+    The weight <= rho-2 combinations at a depth are built the first time
+    the search reaches it and kept.  budget caps the columns visited,
+    allowed or not.
     """
     reps = np.array(projective_reps(field, N), dtype=np.int64)
     # a column c joining forbids c + z.chosen for every z of weight <= rho-2;
@@ -179,7 +172,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
                               np.array(chosen, dtype=np.int64).reshape(k, N))
         allowed = [idx for idx in range(start, len(reps))
                    if not forbidden >> idx & 1]
-        batch = max(1, BLOCK_CELLS // max(1, len(combos) * N))
+        batch = block_rows(len(combos) * N)
         seen = start   # the columns before seen are counted
         for t, idx in enumerate(allowed):
             visit(idx + 1 - seen)   # the forbidden columns skipped, and idx
@@ -336,10 +329,10 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
     <= 2*delta.  Each step takes the first admissible candidate in the
     chosen order (full rescan, so the counting guarantee applies verbatim:
     whenever gv_inequality holds the greedy cannot dead-end, in any order).
-    The candidates are tested in slices whose sums take about BLOCK_CELLS
-    entries, up to the first slice that holds an admissible one; each
-    slice is built from its candidates' positions in the order, so the
-    whole of F_q^N is never held.
+    The candidates are tested in slices of block_rows of them, whose sums
+    take about fields.BLOCK_CELLS entries, up to the first slice that
+    holds an admissible one; each slice is built from its candidates'
+    positions in the order, so the whole of F_q^N is never held.
 
     order="lex" scans F_q^N lexicographically; order="seeded" scans the
     permutation of it drawn from default_rng(seed), so seed is required.
@@ -368,7 +361,7 @@ def gv_greedy(n, rho, delta, q, N, order="lex", seed=None):
         # every combination of <= rho-1 placed rows, zero included
         V = field.matmul(sparse_vectors(q, len(rows), rho - 1),
                          np.array(rows, dtype=np.int64).reshape(-1, N))
-        step = max(1, BLOCK_CELLS // (len(V) * N))
+        step = block_rows(len(V) * N)
         for a in range(0, pool, step):
             cand = product_rows(q, N, np.arange(a, min(a + step, pool))
                                 if perm is None else perm[a:a + step])

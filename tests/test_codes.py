@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from indexcode import codes
+from indexcode import codes, fields
 from indexcode.bounds import rs_generator
 from indexcode.codes import (
     check_certificate,
@@ -149,7 +149,7 @@ def test_verify_blocks_keep_the_scan(monkeypatch, block):
                 for r in [verify(inst, field, L, delta)]]
 
     whole = run()
-    monkeypatch.setattr(codes, "MIN_RANK_BLOCK", block)
+    monkeypatch.setattr(codes, "block_rows", lambda width: block)
     assert run() == whole
 
 
@@ -324,7 +324,7 @@ def test_min_rank_blocks_keep_the_search(monkeypatch):
                 for w in [min_rank(inst, field, node_budget=budget)]]
 
     whole = run()
-    monkeypatch.setattr(codes, "MIN_RANK_BLOCK", 3)
+    monkeypatch.setattr(codes, "block_rows", lambda width: 3)
     assert run() == whole
 
 
@@ -347,7 +347,7 @@ def test_min_rank_stacks_keep_the_search(monkeypatch, cells):
 
     whole = run()
     assert {r[0] for r in whole} == {True, False}
-    monkeypatch.setattr(codes, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     assert run() == whole
 
 
@@ -366,7 +366,7 @@ def test_min_rank_stacks_leave_out_failed_children(monkeypatch):
         return matmul(A, B)
 
     field.matmul = counting
-    monkeypatch.setattr(codes, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", 1)
     assert min_rank(odd_cycle_instance(3), field).nodes == 1398
     assert stacked == [1] * 714
 

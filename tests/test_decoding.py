@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from indexcode import decoding
+from indexcode import fields
 from indexcode.decoding import (
     Decoder,
     code_Ci,
@@ -368,15 +368,15 @@ def _decoder_tables(seed):
     return out
 
 
-@pytest.mark.parametrize("cells", [1, 50, decoding.BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [1, 50, fields.BLOCK_CELLS])
 def test_decoder_blocks_keep_the_tables(monkeypatch, cells):
     """Keys computed a few patterns at a time give the tables and block
     decodes of a build that keys every pattern in one block."""
-    monkeypatch.setattr(decoding, "BLOCK_CELLS", 1 << 40)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", 1 << 40)
     whole = _decoder_tables(43)
     assert any(x >= 0 for *_, xs in whole for x in xs)
     assert any(x < 0 for *_, xs in whole for x in xs)
-    monkeypatch.setattr(decoding, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     assert _decoder_tables(43) == whole
 
 

@@ -432,6 +432,21 @@ def test_sparse_blocks_follow_sparse_vectors():
     assert list(sparse_blocks(3, 3, -1, 5)) == []
 
 
+def test_sparse_blocks_hold_about_one_block():
+    """Iterating the blocks of (2, 60, 3) holds about one block, not the
+    ball: every row arrives while the peak stays under 8 blocks (3.7 MiB);
+    the whole ball would take 16.5 MiB."""
+    size = 1000
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in sparse_blocks(2, 60, 3, size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == sphere_volume(2, 60, 3)
+    assert peak < 8 * size * 60 * 8
+
+
 def _block_sizes(q, k):
     """Every block size 1..q^k while that is cheap.  Beyond it the blocks
     depend only on the largest power q^f <= size, so the ends of each such

@@ -7,7 +7,8 @@ import pytest
 
 from indexcode import sim
 from indexcode.errors import BudgetExceeded
-from indexcode.fields import make_field, sparse_vectors, sphere_volume, weight
+from indexcode.fields import (block_rows, make_field, sparse_vectors,
+                              sphere_volume, weight)
 from indexcode.sim import (
     CampaignStats,
     draw_error,
@@ -270,7 +271,7 @@ def test_campaign_caps_trials_at_one_entropy_word(monkeypatch, F2, k3, k3_L):
 def test_block_seeding_is_default_rng(F3, seed):
     # the blocks a campaign on a 5 x 9 matrix runs: trial 0 and both sides
     # of the first block boundary, and the last trial a campaign can run
-    step = sim.block_rows(5, 9)
+    step = block_rows(9 * 9)
     last = (sim.MAX_TRIALS - 1) // step * step
     rng = np.random.Generator(np.random.PCG64(0))
     for a, ts in ((0, (0, step - 1)), (step, (step,)),

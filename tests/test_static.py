@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from indexcode import static_codes
+from indexcode import fields
 from indexcode.codes import min_rank, verify
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field, rank, sphere_volume, weight
@@ -358,7 +358,7 @@ def test_parity_search_batches_keep_the_search(monkeypatch, cells):
 
     whole = run()
     assert {type(r) for r in whole} == {str, list, type(None)}
-    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     assert run() == whole
 
 
@@ -397,7 +397,7 @@ def test_verify_rho_delta_blocks_keep_the_witness(monkeypatch, cells):
 
     whole = run()
     assert {ok for ok, _ in whole} == {True, False}
-    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     assert run() == whole
 
 
@@ -525,7 +525,7 @@ def test_gv_greedy_slices_keep_the_first_admissible_row(monkeypatch, cells):
 
     whole = run()
     assert {ok for ok, *_ in whole} == {True, False}
-    monkeypatch.setattr(static_codes, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     assert run() == whole
 
 
