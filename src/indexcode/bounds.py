@@ -101,8 +101,7 @@ def _search_entry(field, k, d, n_max, budget):
         raise BudgetExceeded(f"{points} projective points exceed search cap")
     columns = projective_reps(field, k)
     res = min_length_search(field, columns, columns, d, n_max, budget=budget)
-    G = None if res.n_opt is None else np.array(
-        [columns[t] for t in res.solution], dtype=np.int64).T.copy()
+    G = None if res.n_opt is None else columns[list(res.solution)].T.copy()
     bracket = None if res.n_opt is not None else (
         max(n_max + 1, singleton_lower(k, d)), gv_upper(field.q, k, d))
     return CodeTableEntry(field.q, k, d, res.n_opt, "search", G, bracket,
@@ -117,7 +116,7 @@ def _hamming_entry(field, k):
     q, N = field.q, k + 1
     while (q ** (N - k) - 1) // (q - 1) < N:
         N += 1
-    H = np.array(projective_reps(field, N - k)[:N], dtype=np.int64).T
+    H = projective_reps(field, N - k)[:N].T
     return CodeTableEntry(q, k, 3, N, "hamming", kernel_basis(field, H),
                           None, 0, {})
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, SpanCapExceeded
 from .fields import (block_rows, check_matrix, combination_blocks,
-                     matrix_from_text, matrix_to_text, rref, solve_one,
-                     sphere_volume, weight)
+                     matrix_from_text, matrix_to_text, product_rows, rref,
+                     solve_one, sphere_volume, weight)
 from .instances import instance_hash, iter_I, y_set
 from .search import (SEARCH_BUDGET, min_length_search, projective_index,
                      projective_reps)
@@ -73,12 +73,9 @@ def _scan_receiver_spans(inst, field, L, span_cap):
             w = int(wts[idx])
             if minw is None or w < minw:
                 minw = w
-                idx += at
-                z = np.zeros(inst.n, dtype=np.int64)
-                z[inst.f[i]] = 1
-                for j in yi:  # coefficients are the base-q digits of idx
-                    idx, z[j] = divmod(idx, q)
-                witness = z
+                witness = np.zeros(inst.n, dtype=np.int64)
+                witness[inst.f[i]] = 1
+                witness[yi] = product_rows(q, len(yi), [at + idx])[0, ::-1]
                 wit_rec = i
             at += len(vecs)
         cost += size
@@ -167,7 +164,8 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     P - P[:, p] (x) r / r[p].  The residual of a row is unique, so P is as
     canonical for the space as its reduced row echelon form, and the memo
     key (depth, P) splits the states exactly as (depth, rref) would: the
-    memo hits, the nodes and the result do not depend on the choice.
+    memo hits, the nodes and the result do not depend on the choice.  P is
+    keyed as uint16 bytes, which hold every code below fields.ORDER_CAP.
 
     A frame steps all its children at once.  It builds the projections of
     its rank-raising children as one stack, and reduces the next
@@ -213,9 +211,9 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
         batch = [block_rows(len(C) * n * n) for C in firsts[1:]]
 
         def dfs(dpt, P, key, rk, res, up):
-            # key: P.tobytes(); res: the first candidate block of this depth
-            # reduced by P, None when (dpt, key) had already failed; up:
-            # which rows of res are nonzero, that is, raise the rank
+            # key: P's uint16 bytes; res: the first candidate block of this
+            # depth reduced by P, None when (dpt, key) had already failed;
+            # up: which rows of res are nonzero, that is, raise the rank
             nodes[0] += 1
             if nodes[0] > node_budget:
                 raise _Budget
@@ -244,7 +242,7 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
                         j = t % batch[dpt]
                         if j == 0:
                             Ps = project(P, R[t:t + batch[dpt]])
-                            keys = [Q.tobytes() for Q in Ps]
+                            keys = [Q.tobytes() for Q in Ps.astype(np.uint16)]
                             Rs = [None] * len(Ps)
                             Us = [None] * len(Ps)
                             # failed only grows: a child whose state has
@@ -275,8 +273,8 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
 
         try:
             root = np.eye(n, dtype=np.int64)
-            return dfs(0, root, root.tobytes(), 0, firsts[0],
-                       firsts[0].any(axis=1))
+            return dfs(0, root, root.astype(np.uint16).tobytes(), 0,
+                       firsts[0], firsts[0].any(axis=1))
         finally:
             del dfs  # dfs names itself through a cell: free the memo now
 
@@ -442,14 +440,12 @@ def search_min_length(inst, field, delta, n_max, workers=1,
         raise ValueError("delta must be >= 0")
     columns = projective_reps(field, inst.n)
     Z = np.fromiter(iter_I(inst, field), dtype=np.dtype((np.int64, inst.n)))
-    # columns are in lex order, so sorted indices give sorted targets
-    index = set(projective_index(field, Z).tolist())
-    targets = [columns[t] for t in sorted(index)]
+    # a mask over the lex-ordered columns keeps the targets sorted
+    hit = np.bincount(projective_index(field, Z), minlength=len(columns))
+    targets = columns[hit > 0]
     res = min_length_search(field, columns, targets, 2 * delta + 1, n_max,
                             budget=budget)
-    L = None
-    if res.n_opt is not None:
-        L = np.array([columns[t] for t in res.solution], dtype=np.int64).T
+    L = None if res.n_opt is None else columns[list(res.solution)].T
     return SearchReport(n_opt=res.n_opt, L=L, nodes=res.nodes,
                         refuted=res.refuted, certified=True,
                         delta=delta)

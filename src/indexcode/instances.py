@@ -85,17 +85,28 @@ def iter_J(inst, cap=2**22):
     return sorted(seen, key=lambda K: (len(K), K))
 
 
+def _receiver_masks(inst):
+    """(bit of f(i), bitmask of {f(i)} | Y_i) for each receiver i."""
+    full = (1 << inst.n) - 1
+    return [(1 << fi, full & ~sum(1 << x for x in xs))
+            for fi, xs in zip(inst.f, inst.X)]
+
+
+def _mask_in_J(receivers, K):
+    """Whether bitmask K holds some receiver's demand and lies in its mask."""
+    return any(K & bit and not K & ~mask for bit, mask in receivers)
+
+
 def in_J(inst, K):
     """Membership without enumeration: some receiver demands a member of K
-    and can see nothing else of K."""
-    Kset = frozenset(K)
-    if not Kset:
-        return False
-    for i in range(inst.m):
-        fi = inst.f[i]
-        if fi in Kset and (Kset - {fi}) <= y_set(inst, i):
-            return True
-    return False
+    and can see nothing else of K.  K is any iterable of message indices;
+    an empty K, or one holding an index outside 0..n-1, is not in J."""
+    mask = 0
+    for v in K:
+        if not 0 <= v < inst.n:
+            return False
+        mask |= 1 << int(v)
+    return _mask_in_J(_receiver_masks(inst), mask)
 
 
 def iter_I(inst, field, cap=2**22):
@@ -124,37 +135,40 @@ def generalized_independence_number(inst):
     Branch and bound over vertices in ascending order, include-branch first,
     so the first maximum-size set found is the lexicographically least
     witness.  The defining property is hereditary, which makes the
-    incremental check (only subsets containing the new vertex) sound.
+    incremental check (only subsets containing the new vertex) sound.  H is
+    a bitmask, and the check walks the submasks S of H, testing S plus the
+    new vertex against each receiver's (demand, mask) pair.
     """
     if inst.n > GRAPH_CAP:
         raise BudgetExceeded(f"exact search capped at {GRAPH_CAP} messages")
-    roots = [v for v in range(inst.n) if in_J(inst, (v,))]
+    receivers = _receiver_masks(inst)
+    roots = [v for v in range(inst.n) if _mask_in_J(receivers, 1 << v)]
 
-    best = [0, ()]
+    def joins(H, bit):
+        """Whether S | bit is in J for every submask S of H."""
+        S = H
+        while _mask_in_J(receivers, S | bit):
+            if not S:
+                return True
+            S = (S - 1) & H
+        return False
 
-    def extend(H, cands):
-        if len(H) > best[0]:
-            best[0] = len(H)
-            best[1] = tuple(H)
+    best = [0, 0]   # size, mask
+
+    def extend(H, size, cands):
+        if size > best[0]:
+            best[:] = size, H
         for idx, v in enumerate(cands):
-            if len(H) + len(cands) - idx <= best[0]:
+            if size + len(cands) - idx <= best[0]:
                 return
-            ok = True
-            for r in range(len(H) + 1):
-                for sub in itertools.combinations(H, r):
-                    if not in_J(inst, sub + (v,)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                extend(H + [v], cands[idx + 1:])
+            if joins(H, 1 << v):
+                extend(H | 1 << v, size + 1, cands[idx + 1:])
 
     try:
-        extend([], roots)
+        extend(0, 0, roots)
     finally:
         del extend  # extend names itself through a cell: break the cycle now
-    return best[0], best[1]
+    return best[0], tuple(v for v in range(inst.n) if best[1] >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +195,18 @@ def odd_cycle_complement_instance(l):
 # ---------------------------------------------------------------------------
 
 
-def instance_to_json(inst, field=None):
-    doc = {
+def _instance_doc(inst):
+    """The combinatorial data as a JSON document, indices 1-based."""
+    return {
         "m": inst.m,
         "n": inst.n,
         "f": [fi + 1 for fi in inst.f],
         "X": [sorted(x + 1 for x in xs) for xs in inst.X],
     }
+
+
+def instance_to_json(inst, field=None):
+    doc = _instance_doc(inst)
     if field is not None:
         doc["q"] = field.q
         doc["p"] = field.p
@@ -222,11 +241,6 @@ def load_instance(path):
 
 def instance_hash(inst):
     """Stable hex digest of the combinatorial data (field excluded)."""
-    doc = {
-        "m": inst.m,
-        "n": inst.n,
-        "f": [fi + 1 for fi in inst.f],
-        "X": [sorted(x + 1 for x in xs) for xs in inst.X],
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_instance_doc(inst), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -40,15 +40,16 @@ listing them, and the node adds them to the node count once its listed
 children are done, where a one-by-one loop would have reached them.  They
 are never solved, since a solving column covers every deficient target.
 
-A parent runs each child's entry tests in its own loop (solved, no slots
-left, coverage rule) and builds the child's other levels and a frame only
-for a child that passes them all.  A child with one slot left has every
-deficit <= 1, so it passes the coverage rule exactly when one type u >= t
-covers its deficient set, and then it is solved at the first such u in one
-node: the parent looks for that u itself and counts that node.  Children
-test the types u >= t in a list of (u, masks[u]) for the types with a hit,
-built the first time some child takes t.  A child counts as a node, and
-meets the budget, when it is tested.
+A parent runs each child's entry tests in its own loop (solved, coverage
+rule) and builds the child's other levels and a frame only for a child that
+passes them all.  A child with one slot left has every deficit <= 1, so it
+passes the coverage rule exactly when one type u >= t covers its deficient
+set, and then it is solved at the first such u in one node: the parent looks
+for that u itself and counts that node.  So only a child with two or more
+slots gets a frame, and at the root of length 1, d = 1 makes every candidate
+solve.  Children test the types u >= t in a list of (u, masks[u]) for the
+types with a hit, built the first time some child takes t.  A child counts
+as a node, and meets the budget, when it is tested.
 
 The scan runs in one process, one length after another, and the budget caps
 the nodes of each length.  Node counts therefore depend only on the inputs.
@@ -56,24 +57,23 @@ the nodes of each length.  Node counts therefore depend only on the inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded
+from .fields import product_rows
 
 SEARCH_BUDGET = 50_000_000  # default nodes the exact search may visit per length
 
 
 def projective_reps(field, k):
-    """Nonzero vectors of F_q^k with first nonzero coordinate 1, lex order."""
-    out = []
-    for tup in itertools.product(range(field.q), repeat=k):
-        nz = next((v for v in tup if v), None)
-        if nz == 1:
-            out.append(tup)
-    return out
+    """Nonzero vectors of F_q^k with first nonzero coordinate 1, lex order,
+    as int64 rows: product_rows t with q^j <= t < 2 q^j, j = 0..k-1, which
+    projective_index maps to 0, 1, 2, ..."""
+    q = field.q
+    return product_rows(q, k, np.concatenate(
+        [np.arange(q ** j, 2 * q ** j) for j in range(k)]))
 
 
 def projective_index(field, V):
@@ -93,17 +93,12 @@ def projective_index(field, V):
 
 
 def build_hits(field, columns, targets):
-    """hits[t] = bitmask over target indices j with <targets[j], columns[t]> != 0."""
-    cols = np.array(columns, dtype=np.int64)
-    tgts = np.array(targets, dtype=np.int64)
-    prods = field.matmul(tgts, cols.T)  # (Z, T)
-    masks = []
-    for t in range(cols.shape[0]):
-        m = 0
-        for j in np.nonzero(prods[:, t])[0]:
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    """hits[t] = bitmask of the target indices j with <targets[j],
+    columns[t]> != 0, packed little-endian from one product."""
+    hit = field.matmul(np.asarray(columns, dtype=np.int64),
+                       np.asarray(targets, dtype=np.int64).T) != 0  # (T, Z)
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(hit, axis=1, bitorder="little")]
 
 
 @dataclass
@@ -139,8 +134,6 @@ def _search_fixed_n(masks, nz, d, n, budget):
             sub_sum = def_sum - cov
             if sub_sum == 0:
                 return (t,)
-            if remaining == 0:
-                continue
             nm = ~m
             def_mask = (levels[0] & nm) | (levels[1] & m)
             tail = tails[t]

@@ -50,8 +50,6 @@ class SimulationRun:
     x_hat: tuple             # per receiver; None where decoding raised
     correct: tuple           # per receiver: x_hat == demanded symbol
     notes: tuple             # per receiver: None or the failure description
-    seed: object = None
-    trial: int | None = None
 
     @property
     def all_correct(self):
@@ -59,7 +57,7 @@ class SimulationRun:
 
 
 def simulate_once(inst, field, L, delta, x, error,
-                  budget=COSET_BUDGET, seed=None, trial=None):
+                  budget=COSET_BUDGET):
     """Encode x, add the error, and decode at every receiver.
 
     Decoder-stage failures (no pattern within radius delta, budget, or a
@@ -85,7 +83,7 @@ def simulate_once(inst, field, L, delta, x, error,
                          error=tuple(int(v) for v in error),
                          broadcast=tuple(int(v) for v in c),
                          x_hat=tuple(x_hat), correct=tuple(correct),
-                         notes=tuple(notes), seed=seed, trial=trial)
+                         notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

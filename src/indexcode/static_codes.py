@@ -148,7 +148,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
     the search reaches it and kept.  budget caps the columns visited,
     allowed or not.
     """
-    reps = np.array(projective_reps(field, N), dtype=np.int64)
+    reps = projective_reps(field, N)
     # a column c joining forbids c + z.chosen for every z of weight <= rho-2;
     # light[k] holds those z at depth k, for the depths reached so far
     light = []
@@ -168,8 +168,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
             return True
         if k == len(light):
             light.append(sparse_vectors(field.q, k, rho - 2))
-        combos = field.matmul(light[k],
-                              np.array(chosen, dtype=np.int64).reshape(k, N))
+        combos = field.matmul(light[k], reps[chosen])
         allowed = [idx for idx in range(start, len(reps))
                    if not forbidden >> idx & 1]
         batch = block_rows(len(combos) * N)
@@ -185,7 +184,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
             grown = forbidden
             for u in hits[t % batch]:
                 grown |= 1 << u
-            chosen.append(reps[idx])
+            chosen.append(idx)
             if extend(idx, grown):
                 return True
             chosen.pop()
@@ -196,7 +195,7 @@ def find_parity_check(field, n, rho, N, budget=PARITY_NODE_BUDGET):
         found = extend(0, 0)
     finally:
         del extend  # extend names itself through a cell: break the cycle now
-    return np.stack(chosen, axis=1) if found else None
+    return reps[chosen].T if found else None
 
 
 def _dual_rho_star(n, rho, q, budget):

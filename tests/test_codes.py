@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,27 @@ def test_min_rank_budget_degrades_to_uncertified(F2, pentagon):
     w = min_rank(pentagon, F2, node_budget=3)
     assert not w.certified
     assert w.kappa >= 1  # identity fallback still an upper bound shape
+
+
+def test_min_rank_memo_keys_hold_uint16_codes(F7):
+    """A budget-stopped search's memory grows with its memo of failed
+    states.  Each key holds the projection's field codes as uint16, a
+    quarter of their int64 bytes."""
+    inst = make_instance(6, range(6), ({2, 3, 4, 5}, {0, 3, 4, 5},
+                                       {1, 3, 4, 5}, {0, 1, 2, 5},
+                                       {0, 1, 2, 3}, {0, 1, 2, 3}))
+    peaks = []
+    for budget in (20, 2000):
+        tracemalloc.start()
+        try:
+            w = min_rank(inst, F7, node_budget=budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (w.certified, w.nodes, w.lower_bound) == (False, budget + 1, 1)
+    # from 20 to 2,000 nodes the peak grows by 0.73-0.83 MiB with int64
+    # keys and by 0.32-0.43 MiB with uint16 keys
+    assert peaks[1] - peaks[0] < 0.6 * 2**20
 
 
 # ---------------------------------------------------------------------------

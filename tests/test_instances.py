@@ -91,6 +91,30 @@ def test_in_J_agrees_with_enumeration():
         assert not in_J(inst, ())
 
 
+def _J_by_definition(inst, K):
+    """Membership straight from the definition, on frozensets."""
+    K = frozenset(K)
+    return any(inst.f[i] in K and K - {inst.f[i]} <= y_set(inst, i)
+               for i in range(inst.m))
+
+
+def test_in_J_matches_the_definition_on_any_indices():
+    # repeated indices count once; an index outside 0..n-1, negative ones
+    # included, keeps K out of J, and so does the empty K
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        inst = random_instance(rng, n_lo=1, n_hi=8, m_hi=10)
+        assert not in_J(inst, ()) and not in_J(inst, [])
+        for _ in range(40):
+            size = int(rng.integers(1, 6))
+            K = tuple(int(v) for v in rng.integers(-3, inst.n + 3, size))
+            assert in_J(inst, K) == _J_by_definition(inst, K), K
+            inside = tuple(v % inst.n for v in K)
+            assert in_J(inst, inside) == _J_by_definition(inst, inside)
+        for v in (-1, inst.n):
+            assert not in_J(inst, (inst.f[0], v))
+
+
 def test_iter_J_cap():
     inst = make_instance(24, (0,), (frozenset(),))
     with pytest.raises(BudgetExceeded):
@@ -184,6 +208,25 @@ def test_alpha_against_oracle_and_hereditary():
         for r in range(1, len(wit) + 1):
             for K in itertools.combinations(wit, r):
                 assert in_J(inst, K)
+
+
+def test_alpha_witness_is_the_lexicographically_least_maximum():
+    rng = np.random.default_rng(1818)
+    for _ in range(200):
+        inst = random_instance(rng, n_lo=1, n_hi=8, m_hi=10)
+        n = inst.n
+        # good[mask]: every nonempty subset of mask is in J, built up from
+        # the masks one element smaller
+        good = [True] + [False] * ((1 << n) - 1)
+        for mask in range(1, 1 << n):
+            H = [v for v in range(n) if mask >> v & 1]
+            good[mask] = _J_by_definition(inst, H) and all(
+                good[mask & ~(1 << v)] for v in H)
+        alpha = max(bin(mask).count("1") for mask in range(1 << n)
+                    if good[mask])
+        least = next(H for H in itertools.combinations(range(n), alpha)
+                     if good[sum(1 << v for v in H)])
+        assert generalized_independence_number(inst) == (alpha, least)
 
 
 def test_alpha_requires_every_subset():
@@ -283,6 +326,14 @@ def test_instance_hash_stable_and_field_free(k3):
     assert len(h1) == 64
     other = make_instance(3, (0, 1, 2), ({1}, {0, 2}, {0, 1}))
     assert instance_hash(other) != h1
+
+
+def test_instance_hash_pinned(k3):
+    # certificates embed the digest, so it must not move
+    assert instance_hash(k3) == ("fc945c44fea19e9674a1c4df769af2dc"
+                                 "d18631168e9fd063120a822ded842922")
+    assert instance_hash(odd_cycle_instance(2)) == (
+        "308b4585e5aceae02af806e83c83a3e4a3f3d549a992062f672471fa42791407")
 
 
 def test_validate_is_exported_and_passes(k3):

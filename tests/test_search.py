@@ -1,5 +1,6 @@
 """The column-multiset DFS: pinned golden work and a brute-force oracle."""
 
+import functools
 import hashlib
 import itertools
 
@@ -10,8 +11,8 @@ from indexcode.bounds import nq_kd
 from indexcode.codes import min_rank, search_min_length
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field
-from indexcode.search import (min_length_search, projective_index,
-                              projective_reps)
+from indexcode.search import (build_hits, min_length_search,
+                              projective_index, projective_reps)
 from indexcode.static_codes import static_bounds
 
 SEARCH_DIGEST = ("56bc749ece199fc9ecce0e534f4211131"
@@ -186,3 +187,20 @@ def test_projective_index_is_the_position_in_projective_reps(q):
         assert len(position) == len(V)
         assert projective_index(field, V).tolist() == \
             [position[tuple(v)] for v in V.tolist()]
+
+
+@pytest.mark.parametrize("q,k_max", [(2, 5), (3, 3), (4, 3), (9, 2)])
+def test_reps_and_hits_match_their_loop_definitions(q, k_max):
+    """The array forms against the tuple loops they replaced: the vectors
+    whose first nonzero coordinate is 1, and one bit per nonzero inner
+    product, target j at bit j."""
+    field = make_field(q)
+    for k in range(1, k_max + 1):
+        vectors = list(itertools.product(range(q), repeat=k))[1:]
+        reps = [v for v in vectors if next(c for c in v if c) == 1]
+        assert projective_reps(field, k).tolist() == [list(v) for v in reps]
+        hits = build_hits(field, reps, vectors)
+        for t, c in enumerate(reps):
+            assert hits[t] == sum(
+                1 << j for j, z in enumerate(vectors)
+                if functools.reduce(field.add, map(field.mul, z, c), 0))
