@@ -171,27 +171,21 @@ def cmd_construct(args):
     inst, field = _load_instance_field(args.instance)
     budget = _budget(args, SEARCH_BUDGET)
 
-    if args.method == "concat":
-        L, witness, entry = codes.construct_concat(inst, field, args.delta)
-        payload = {"N": L.shape[1], "matrix": L,
-                   "outer": None if entry is None else entry}
+    if args.method in ("concat", "lift"):
+        if args.method == "concat":
+            L, _, entry = codes.construct_concat(inst, field, args.delta)
+        else:
+            if not args.core:
+                raise ValueError(
+                    "construct lift needs --core (the matrix to lift)")
+            B, qb = load_matrix(args.core)
+            if qb != field.q:
+                raise ValueError(
+                    f"core is over GF({qb}), instance over GF({field.q})")
+            L, entry = codes.construct_lift(inst, field, args.delta, B)
         lines = [f"N: {L.shape[1]}"]
         _matrix_out(args, field, L, lines)
-        _emit(args, payload, lines)
-        return OK
-
-    if args.method == "lift":
-        if not args.core:
-            raise ValueError("construct lift needs --core (the matrix to lift)")
-        B, qb = load_matrix(args.core)
-        if qb != field.q:
-            raise ValueError(f"core is over GF({qb}), instance over GF({field.q})")
-        L, entry = codes.construct_lift(inst, field, args.delta, B)
-        payload = {"N": L.shape[1], "matrix": L,
-                   "outer": None if entry is None else entry}
-        lines = [f"N: {L.shape[1]}"]
-        _matrix_out(args, field, L, lines)
-        _emit(args, payload, lines)
+        _emit(args, {"N": L.shape[1], "matrix": L, "outer": entry}, lines)
         return OK
 
     if args.method == "random":

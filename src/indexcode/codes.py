@@ -49,9 +49,9 @@ def _scan_receiver_spans(inst, field, L, span_cap):
     """Min weight(z L) per receiver over z = e_f(i) + combos on Y_i.
 
     Enumeration: receivers ascending; within a receiver, the
-    combination_blocks of the sorted Y_i rows, so the first Y_i row's
-    coefficient cycles fastest and the lightest combination found first
-    wins.  Scaling z never changes the weight, so fixing the f(i)
+    combination_blocks of the Y_i rows in descending order, so the first
+    Y_i row's coefficient cycles fastest and the lightest combination found
+    first wins.  Scaling z never changes the weight, so fixing the f(i)
     coefficient to 1 loses nothing.
     """
     q = field.q
@@ -60,7 +60,7 @@ def _scan_receiver_spans(inst, field, L, span_cap):
     wit_rec = None
     cost = 0
     for i in range(inst.m):
-        yi = sorted(y_set(inst, i))
+        yi = sorted(y_set(inst, i), reverse=True)
         size = q ** len(yi)
         if size > span_cap:
             raise SpanCapExceeded(
@@ -75,7 +75,7 @@ def _scan_receiver_spans(inst, field, L, span_cap):
                 minw = w
                 witness = np.zeros(inst.n, dtype=np.int64)
                 witness[inst.f[i]] = 1
-                witness[yi] = product_rows(q, len(yi), [at + idx])[0, ::-1]
+                witness[yi] = product_rows(q, len(yi), [at + idx])[0]
                 wit_rec = i
             at += len(vecs)
         cost += size
@@ -152,9 +152,10 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     feasible k, a second fixed-k pass in natural receiver order returns the
     lexicographically least completion.
 
-    Each receiver's q^|X_i| candidate rows are tried in one order (the
-    coefficient of the last element of sorted X_i cycles fastest), taken
-    from combination_blocks of block_rows(n) rows built once.  The row
+    Each receiver's q^|X_i| candidate rows are tried in product order: a
+    block of block_rows(n) candidates is e_f(i) with the product_rows digits
+    of their indices written into the sorted X_i columns (the last X_i
+    column fastest), and each receiver's first block is built once.  The row
     space is carried as its n x n projection P, which maps a row v to its
     residual against the space: v less the combination of the basis rows
     that clears v at the pivot columns of the space's reduced row echelon
@@ -185,13 +186,21 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     uncertified identity completion, with lower_bound the target rank the
     search had reached.
     """
-    n, m = inst.n, inst.m
+    n, m, q = inst.n, inst.m, field.q
     Xs = [sorted(inst.X[i]) for i in range(m)]
     order = sorted(range(m), key=lambda i: (-len(Xs[i]), i))
     nodes = [0]
-    unit = np.eye(n, dtype=np.int64)
-    candidates = [combination_blocks(field, unit[Xs[i][::-1]], block_rows(n),
-                                     base=unit[inst.f[i]]) for i in range(m)]
+    step = block_rows(n)
+
+    def candidates(i, at):
+        """Receiver i's candidate rows at, at + 1, ..., one block."""
+        idx = np.arange(at, min(at + step, q ** len(Xs[i])))
+        C = np.zeros((len(idx), n), dtype=np.int64)
+        C[:, inst.f[i]] = 1
+        C[:, Xs[i]] = product_rows(q, len(Xs[i]), idx)
+        return C
+
+    first_blocks = [candidates(i, 0) for i in range(m)]
 
     def project(P, R):
         """Projections for P's space plus each row of the residuals R, as
@@ -205,8 +214,7 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     def decide(k, rec_order):
         """Rows completing rec_order with rank <= k, or None."""
         failed = set()
-        blocks = [candidates[i] for i in rec_order]
-        firsts = [next(iter(b)) for b in blocks]
+        firsts = [first_blocks[i] for i in rec_order]
         # children per stack at each depth but the last
         batch = [block_rows(len(C) * n * n) for C in firsts[1:]]
 
@@ -221,8 +229,10 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
                 return None
             last = dpt + 1 == m
             shared = None   # what every free child receives
-            for b, C in enumerate(blocks[dpt]):
-                if b:
+            rec = rec_order[dpt]
+            for at in range(0, q ** len(Xs[rec]), step):
+                C = candidates(rec, at) if at else firsts[dpt]
+                if at:
                     res = field.matmul(C, P) if rk else C
                     up = res.any(axis=1)
                 if rk < k:

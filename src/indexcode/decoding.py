@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (block_rows, check_matrix, kernel_basis, solve_one,
-                     span_matrix, sparse_blocks, sparse_vectors,
+from .fields import (block_rows, check_matrix, kernel_basis, product_index,
+                     solve_one, span_matrix, sparse_blocks, sparse_vectors,
                      sphere_volume, weight)
 from .instances import y_set
 
@@ -99,7 +99,11 @@ def code_Ci(inst, field, L, i):
 
 
 def _strip(inst, field, L, view):
+    """The received word less the side information's part of x L."""
     y = np.asarray(view.y, dtype=np.int64)
+    if len(y) != L.shape[1]:
+        raise ValueError(f"received word has {len(y)} symbols, the code "
+                         f"has length {L.shape[1]}")
     out = y
     for j, v in view.side:
         if v:
@@ -146,8 +150,7 @@ def relevant_error_set(inst, field, L, i, eps):
     L = check_matrix(field, L)
     eps = np.asarray(eps, dtype=np.int64)
     yi = sorted(y_set(inst, i))
-    rows = L[yi] if yi else np.zeros((0, L.shape[1]), dtype=np.int64)
-    return field.add_arr(span_matrix(field, rows), eps[None, :])
+    return field.add_arr(span_matrix(field, L[yi]), eps[None, :])
 
 
 def find_combiner(inst, field, L, i):
@@ -236,10 +239,10 @@ class Decoder:
     Every receiver reads one shared array, the V = sphere_volume(q, N,
     delta) patterns of sparse_vectors(q, N, delta), whose size budget caps.
     Each receiver gets its parity check H, its combiner (u, v) and a leader
-    table of two arrays: the sorted syndrome keys (the base-q integer of
-    H e, first coordinate least significant) and, row for row, the index in
-    the shared array of each key's leader, the first pattern with that key,
-    exactly the pattern the streaming search returns.  The keys are
+    table of two arrays: the sorted syndrome keys (the fields.product_index
+    of H e, int64 or, past 2^63 keys, Python ints) and, row for row, the
+    index in the shared array of each key's leader, the first pattern with
+    that key, exactly the pattern the streaming search returns.  The keys are
     computed a block of patterns at a time.  Memory: V x N entries once,
     plus at most V keys and V indices per receiver.  So
     decode(view) gives the same DecodeResult as decode() on every input,
@@ -265,7 +268,7 @@ class Decoder:
         for i in range(inst.m):
             H = code_Ci(inst, field, self.L, i)[1]
             keys, first = np.unique(np.concatenate(
-                [_syndrome_keys(q, field.matmul(E[a:a + rows], H.T))
+                [product_index(q, field.matmul(E[a:a + rows], H.T))
                  for a in range(0, len(E), rows)]), return_index=True)
             try:
                 comb_uv = find_combiner(inst, field, self.L, i)
@@ -276,7 +279,7 @@ class Decoder:
     def _lookup(self, i, S):
         """Table rows of the syndromes S (one per row), -1 where none."""
         keys = self._tables[i][1]
-        k = _syndrome_keys(self.field.q, S)
+        k = product_index(self.field.q, S)
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return np.where(keys[pos] == k, pos, -1)
 
@@ -315,16 +318,6 @@ class Decoder:
         out[hit] = field.sub_arr(field.matvec(corrected, u),
                                  field.matvec(side[hit], v[X_i]))
         return out
-
-
-def _syndrome_keys(q, S):
-    """Base-q integer of each row of S, first coordinate least significant:
-    int64 when every key fits, Python ints otherwise."""
-    r = S.shape[1]
-    if q ** r <= 2 ** 63:
-        return S @ q ** np.arange(r, dtype=np.int64)
-    return S.astype(object) @ np.array([q ** k for k in range(r)],
-                                       dtype=object)
 
 
 # ---------------------------------------------------------------------------

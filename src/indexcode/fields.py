@@ -11,13 +11,16 @@ negate through q x q tables, and every extension multiplies through one.
 Each field keeps a table of inverses.
 
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
-takes the Field explicitly.  This module owns the enumeration orders
-(solution sweeps, all_combinations of rows and combination_blocks of it,
-product_rows for rows of itertools.product, and the small-support vectors
-of support_vectors, sparse_vectors and sparse_blocks, all written by
-fill_supports) and the Hamming-ball count sphere_volume; they are fixed and
-documented so that searches built on top are reproducible bit for bit.
-block_rows sizes every array step in the package.
+takes the Field explicitly.  This module owns the enumeration orders and
+the Hamming-ball count sphere_volume; the orders are fixed and documented
+so that searches built on top are reproducible bit for bit.  F_q^k has one
+dense order, the product order (base-q digits, the last position fastest),
+used both ways: product_rows maps indices to rows and product_index maps
+rows back to indices.  The solution sweeps of solve_affine, the
+combination_blocks of rows and span_matrix all follow it.  The
+small-support vectors of support_vectors, sparse_vectors and
+sparse_blocks are all written by fill_supports.  block_rows sizes every
+array step in the package.
 """
 
 from __future__ import annotations
@@ -410,14 +413,15 @@ def solve_one(field, A, b):
 def span_matrix(field, rows, cap=SPAN_CAP_DEFAULT):
     """All q**rank vectors of the row span as one array, zero vector first.
 
-    The all_combinations of the rref basis.  Deterministic; duplicates never
-    occur.
+    The one combination_blocks block over the rref basis rows, last to
+    first, so the coefficient of the first basis row cycles fastest.
+    Deterministic; duplicates never occur.
     """
     R, pivots = rref(field, rows)
     size = field.q ** len(pivots)
     if size > cap:
         raise SpanCapExceeded(f"span of size {size} exceeds cap {cap}")
-    return all_combinations(field, R[:len(pivots)])
+    return next(combination_blocks(field, R[:len(pivots)][::-1], size))
 
 
 # ---------------------------------------------------------------------------
@@ -501,61 +505,52 @@ def sparse_blocks(q, k, r, size):
 
 
 def product_rows(q, k, idx):
-    """Rows idx of itertools.product(range(q), repeat=k), one per index:
-    the base-q digits of each index, the last position fastest."""
-    idx = np.asarray(idx, dtype=np.int64)[:, None]
-    return idx // q ** np.arange(k - 1, -1, -1, dtype=np.int64) % q
+    """Rows idx of the product order on F_q^k, one per index: the base-q
+    digits of each index, the last position fastest.  Indices are int64
+    when q**k <= 2**63 and Python ints otherwise, as product_index gives
+    them."""
+    dtype = np.int64 if q ** k <= 2 ** 63 else object
+    idx = np.asarray(idx, dtype=dtype)[:, None]
+    rows = idx // q ** np.arange(k - 1, -1, -1, dtype=dtype) % q
+    return rows.astype(np.int64, copy=False)
 
 
-def all_combinations(field, rows):
-    """Every sum_j c_j rows[j], one array row per coefficient vector c.
-
-    Built by block doubling, so the coefficient of rows[0] cycles fastest:
-    row t has c_j = base-q digit j of t, least significant digit first.
-    Row 0 is the zero vector; q**len(rows) rows in all.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros((1, rows.shape[1]), dtype=np.int64)
-    for row in rows:
-        blocks = [out if c == 0 else field.add_arr(out, field.mul_arr(c, row))
-                  for c in range(field.q)]
-        out = np.concatenate(blocks, axis=0)
-    return out
+def product_index(q, V):
+    """Inverse of product_rows: the index of each row of V (its last axis)
+    in the product order, int64 when q**k <= 2**63 and Python ints
+    otherwise."""
+    V = np.asarray(V, dtype=np.int64)
+    k = V.shape[-1]
+    dtype = np.int64 if q ** k <= 2 ** 63 else object
+    return V.astype(dtype, copy=False) @ q ** np.arange(k - 1, -1, -1,
+                                                         dtype=dtype)
 
 
 def combination_blocks(field, rows, size, base=None):
-    """base + all_combinations(field, rows) in the same order, as arrays of
-    at most `size` rows, so a caller can work on many combinations at once
-    while holding about one block.
+    """base + sum_j c_j rows[j] for every coefficient vector c in
+    product_rows order, the coefficient of the last row fastest, as arrays
+    of at most `size` rows, so a caller can work on many combinations at
+    once while holding about one block.  The first row is base (the zero
+    vector without one); q**len(rows) rows in all.
 
-    The result is built once and can be iterated any number of times.  The
-    fast rows, whose q**f combinations fit in `size`, form one table; each
-    block adds one combination of the remaining rows to it, so when every
-    combination fits the one block is that table itself, not a copy.
+    The fast rows, the last f rows whose q**f combinations fit in `size`,
+    form one table, grown by one broadcast step per row; each block adds
+    one combination of the slow rows before them to it.
     """
+    q = field.q
     rows = np.asarray(rows, dtype=np.int64)
-    fast = 0
-    while fast < len(rows) and field.q ** (fast + 1) <= size:
-        fast += 1
-    table = all_combinations(field, rows[:fast])
-    if base is not None:
-        table = field.add_arr(table, base)
-    return _CombinationBlocks(field, table, rows[fast:])
-
-
-class _CombinationBlocks:
-    def __init__(self, field, table, slow):
-        self.field, self.table, self.slow = field, table, slow
-
-    def __iter__(self):
-        if not len(self.slow):
-            yield self.table
-            return
-        field = self.field
-        for c in itertools.product(range(field.q), repeat=len(self.slow)):
-            # product runs its last digit fastest; slow[0] must be fastest
-            shift = field.matmul(np.array([c[::-1]]), self.slow)
-            yield field.add_arr(self.table, shift)
+    slow = len(rows)
+    while slow and q ** (len(rows) - slow + 1) <= size:
+        slow -= 1
+    width = rows.shape[1]
+    table = np.zeros((1, width), dtype=np.int64) if base is None \
+        else np.asarray(base, dtype=np.int64).reshape(1, width)
+    for row in rows[slow:]:
+        table = field.add_arr(table[:, None], field.mul_arr(
+            np.arange(q)[:, None], row)).reshape(q * len(table), width)
+    for hi in range(q ** slow):   # with no slow rows, the table itself
+        yield field.add_arr(table, field.matmul(
+            product_rows(q, slow, [hi]), rows[:slow])) if slow else table
 
 
 # ---------------------------------------------------------------------------

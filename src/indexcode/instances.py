@@ -215,8 +215,20 @@ def instance_to_json(inst, field=None):
 
 
 def instance_from_json(text):
-    """Returns (instance, q or None)."""
+    """Returns (instance, q or None).  InvalidInstance unless the document
+    is an object with f a list, X a list of lists, and n, m, q, p, e (when
+    given) and every f and X entry integers, not booleans."""
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("f"), list)
+            and isinstance(doc.get("X"), list)
+            and all(isinstance(xs, list) for xs in doc["X"])):
+        raise InvalidInstance("need a JSON object with a list f and a list "
+                              "of lists X")
+    given = [doc[key] for key in ("n", "m", "q", "p", "e") if key in doc]
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               for v in itertools.chain(given, doc["f"], *doc["X"])):
+        raise InvalidInstance("n, m, q, p, e and the f and X entries must "
+                              "be integers")
     f = [fi - 1 for fi in doc["f"]]
     X = [[x - 1 for x in xs] for xs in doc["X"]]
     inst = make_instance(doc["n"], f, X)

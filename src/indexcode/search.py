@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .fields import product_rows
+from .fields import product_index, product_rows
 
 SEARCH_BUDGET = 50_000_000  # default nodes the exact search may visit per length
 
@@ -81,15 +81,14 @@ def projective_index(field, V):
     each row of V (n x k, rows nonzero).  With s the row's first nonzero
     position, the reps whose first nonzero sits after s come first, all
     (q^(k-1-s) - 1) / (q - 1) of them; then the row, scaled to lead with 1,
-    counts in base q over the positions after s, the first of them most
-    significant."""
+    counts by its product_index past its leading 1."""
     V = np.asarray(V, dtype=np.int64)
     q, k = field.q, V.shape[1]
     s = (V != 0).argmax(axis=1)
     lead = V[np.arange(len(V)), s]
     W = field.mul_arr(field.inv_arr(lead)[:, None], V)
     top = q ** (k - 1 - s)               # the place value of W's leading 1
-    return (top - 1) // (q - 1) + W @ q ** np.arange(k - 1, -1, -1) - top
+    return (top - 1) // (q - 1) + product_index(q, W) - top
 
 
 def build_hits(field, columns, targets):

@@ -22,8 +22,8 @@ import numpy as np
 from .bounds import SEARCH_POINT_CAP, CodeTableEntry, griesmer_lower, nq_kd
 from .errors import BudgetExceeded
 from .fields import (block_rows, check_matrix, fill_supports, lex_supports,
-                     make_field, product_rows, rank, span_matrix,
-                     sparse_vectors, sphere_volume)
+                     make_field, product_index, product_rows, rank,
+                     span_matrix, sparse_vectors, sphere_volume)
 from .instances import Instance, make_instance
 from .search import projective_index, projective_reps
 
@@ -415,22 +415,18 @@ def weak_resilience_check(L, rho, t, budget=RESILIENCE_BUDGET):
     cost = comb(n, rho) * comb(N, t) * 2 ** N
     if cost > budget or 2 ** (t + rho) > budget:
         raise BudgetExceeded(f"{cost} counted entries exceed budget {budget}")
-    codes = np.arange(2 ** N, dtype=np.int64)
-    Z = (codes[:, None] >> np.arange(N - 1, -1, -1)) & 1   # z_0 most significant
-    out_pow = 1 << np.arange(rho - 1, -1, -1)
-    fix_pow = 1 << np.arange(t - 1, -1, -1) if t else np.zeros(0, dtype=np.int64)
+    Z = product_rows(2, N, np.arange(2 ** N))   # z_0 most significant
     for K in combinations(range(n), rho):
-        out_int = ((Z @ L[list(K)].T) % 2) @ out_pow
+        out_int = product_index(2, (Z @ L[list(K)].T) % 2)
         for T in combinations(range(N), t):
-            fix_int = Z[:, list(T)] @ fix_pow if t else np.zeros(2 ** N,
-                                                                 dtype=np.int64)
+            fix_int = product_index(2, Z[:, list(T)])
             counts = np.bincount(fix_int * 2 ** rho + out_int,
                                  minlength=2 ** (t + rho))
             table = counts.reshape(2 ** t, 2 ** rho)
             bad = np.nonzero(table.max(axis=1) != table.min(axis=1))[0]
             if len(bad):
                 a = int(bad[0])
-                fixing = tuple((a >> (t - 1 - j)) & 1 for j in range(t))
+                fixing = tuple(product_rows(2, t, [a])[0].tolist())
                 return False, ResilienceWitness(K, T, fixing,
                                                 tuple(int(c) for c in table[a]))
     return True, None

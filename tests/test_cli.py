@@ -203,6 +203,32 @@ def test_decode_beyond_radius_is_fail(files, capsys, F2, k3, k3_L, tmp_path):
                  "--delta", "1"]) == FAIL
 
 
+def test_decode_wrong_length_word_is_usage_error(files, capsys, tmp_path):
+    matrix = tmp_path / "L.txt"
+    matrix.write_text("3 3 2\n1 1 1\n1 1 1\n1 1 1\n")
+    recv = tmp_path / "short.txt"
+    recv.write_text("1 1 2\n1\n2:1 3:0\n")
+    assert main(["decode", "--instance", files["k3"], "--matrix",
+                 str(matrix), "--received", str(recv),
+                 "--delta", "1"]) == USAGE
+    assert "1 symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "f": [1.5, 2, 3], "X": [[2], [3], [1]], "q": 2},
+    {"n": 3, "f": [True, 2, 3], "X": [[2], [3], [1]], "q": 2},
+    {"n": 3, "f": ["2", 3, 1], "X": [[2], [3], [1]], "q": 2},
+    {"n": 3, "f": [1, 2, 3], "X": [[2], [3], [1]], "q": "2"},
+    [1, 2, 3],
+])
+def test_mistyped_instance_is_usage_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("alpha", "minrank"):
+        assert main([cmd, "--instance", str(path)]) == USAGE
+        assert "error" in capsys.readouterr().err.lower()
+
+
 def test_decode_negative_radius_is_usage_error(files, capsys):
     assert main(["decode", "--instance", files["k3"], "--matrix",
                  files["k3L"], "--received", files["recv"],

@@ -244,6 +244,22 @@ def test_recover_by_elimination_rejects_impossible_word(F2):
                                np.zeros(2, dtype=np.int64))
 
 
+def test_received_word_of_the_wrong_length_is_refused(F2, k3):
+    """A length-1 word against a 3-column code used to broadcast through the
+    side-information strip and decode to x_hat = 0.  Every path that reads
+    y against L refuses it, naming both lengths."""
+    L = np.array([[1, 1, 1]] * 3, dtype=np.int64)
+    view = make_view(k3, F2, 0, [1], {1: 1, 2: 0})
+    dec = Decoder(k3, F2, L, 1)
+    for call in (lambda: decode(k3, F2, L, 1, view),
+                 lambda: decode(k3, F2, L, 1, view, recovery="eliminate"),
+                 lambda: dec.decode(view),
+                 lambda: recover_by_elimination(k3, F2, L, view,
+                                                np.zeros(3, dtype=np.int64))):
+        with pytest.raises(ValueError, match="1 symbols.*length 3"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # table decoder
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from indexcode.errors import SpanCapExceeded
 from indexcode.fields import (
     DEFAULT_MODULI,
     Field,
-    all_combinations,
     check_matrix,
     combination_blocks,
     kernel_basis,
     make_field,
     matrix_from_text,
     matrix_to_text,
+    product_index,
     product_rows,
     rank,
     rref,
@@ -409,6 +409,27 @@ def test_product_rows_index_the_product():
         assert got.tolist() == [list(rows[i]) for i in idx]
 
 
+def test_product_index_inverts_product_rows():
+    """Index -> row -> index for q in {2, 3, 4, 7, 256} and k <= 9: int64
+    while q**k <= 2**63, Python ints from 256**8 up, and index 0 for k = 0."""
+    rng = np.random.default_rng(1)
+    for q in (2, 3, 4, 7, 256):
+        for k in range(10):
+            total = q ** k
+            idx = [0, total - 1] + [int(v) for v in
+                                    rng.integers(0, min(total, 2 ** 63), 20)]
+            if total > 2 ** 63:
+                idx.append(total - 1 - int(rng.integers(2 ** 62)))
+            rows = product_rows(q, k, idx)
+            assert rows.dtype == np.int64 and rows.shape == (len(idx), k)
+            back = product_index(q, rows)
+            assert back.dtype == (np.int64 if total <= 2 ** 63 else object)
+            assert [int(v) for v in back] == idx
+            # a row holds the digits of its index, the last position fastest
+            assert rows[-1].tolist() == \
+                [idx[-1] // q ** (k - 1 - j) % q for j in range(k)]
+
+
 def test_support_vectors_match_an_odometer():
     for q in (2, 3, 4, 5):
         for k in range(5):
@@ -457,27 +478,26 @@ def _block_sizes(q, k):
                   {q ** (f + 1) - 1 for f in range(1, k)})
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
-def test_combination_blocks_follow_all_combinations(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_combination_blocks_follow_product_rows(q):
+    """Row t is base + product_rows(q, k, [t]) @ rows, whatever the block
+    size; q = 9 adds through the odd-characteristic table."""
     F = make_field(q)
     rng = np.random.default_rng(q)
-    for k in range(6):
+    for k in range(6 if q < 9 else 5):   # 9**5 one-row blocks take seconds
         rows = rng.integers(0, q, size=(k, 3))
         base = rng.integers(0, q, size=3)
-        whole = all_combinations(F, rows)
+        whole = F.matmul(product_rows(q, k, np.arange(q ** k)), rows)
         want = F.add_arr(whole, base[None, :])
         for size in _block_sizes(q, k):
-            blocks = combination_blocks(F, rows, size, base=base)
-            first = list(blocks)
-            assert max(map(len, first)) <= size
-            assert np.array_equal(np.concatenate(first), want)
-            # iterating again gives the same blocks
-            assert np.array_equal(np.concatenate(list(blocks)), want)
-            assert list(map(len, blocks)) == list(map(len, first))
+            blocks = list(combination_blocks(F, rows, size, base=base))
+            assert max(map(len, blocks)) <= size
+            assert np.array_equal(np.concatenate(blocks), want)
         plain = combination_blocks(F, rows, q)
         assert np.array_equal(np.concatenate(list(plain)), whole)
-        one = combination_blocks(F, rows, q ** k, base=base)
-        assert next(iter(one)) is next(iter(one))   # the table, uncopied
+    # rows of width 0, as for a code of length 0
+    blocks = list(combination_blocks(F, np.zeros((2, 0), np.int64), q))
+    assert np.concatenate(blocks).shape == (q * q, 0)
 
 
 def test_span_cap_enforced():

@@ -319,6 +319,28 @@ def test_json_validation():
             {"n": 3, "f": [1], "X": [[2]], "q": 4, "p": 2, "e": 1}))
 
 
+@pytest.mark.parametrize("change", [
+    {"f": [1.5, 2, 3]}, {"f": [True, 2, 3]}, {"f": ["2", 3, 1]},
+    {"f": 1}, {"X": [[2], 3, [1]]}, {"X": [[2.0], [3], [1]]},
+    {"X": [[2], [False], [1]]}, {"X": {"1": [2]}}, {"n": 3.0},
+    {"n": True}, {"m": "3"}, {"q": "2"}, {"q": 2.0}, {"p": None},
+    {"e": [1]},
+])
+def test_json_entries_must_be_integers(change):
+    import json
+    doc = {"n": 3, "f": [1, 2, 3], "X": [[2], [3], [1]], "m": 3,
+           "q": 2, "p": 2, "e": 1}
+    instance_from_json(json.dumps(doc))   # the unchanged document loads
+    with pytest.raises(InvalidInstance):
+        instance_from_json(json.dumps({**doc, **change}))
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "3", '"k3"', "null"])
+def test_json_document_must_be_an_object(text):
+    with pytest.raises(InvalidInstance):
+        instance_from_json(text)
+
+
 def test_instance_hash_stable_and_field_free(k3):
     h1 = instance_hash(k3)
     assert h1 == instance_hash(make_instance(3, (0, 1, 2),
