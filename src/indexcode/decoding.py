@@ -303,14 +303,22 @@ class Decoder:
     def decode_block(self, i, Y, side):
         """Receiver i's demanded symbol for each row of Y (received words),
         given side (one row per word: the values x_j for j in sorted X_i).
-        Returns int64 symbols, -1 where decode() would raise."""
+        Returns int64 symbols, -1 where decode() would raise.  ValueError
+        when Y does not have N columns or side does not have |X_i|."""
         field = self.field
         H, _, first, comb_uv = self._tables[i]
+        X_i = sorted(self.inst.X[i])
+        Y = np.asarray(Y, dtype=np.int64)
+        side = np.asarray(side, dtype=np.int64)
+        for name, A, width in (("received words", Y, self.L.shape[1]),
+                               ("side rows", side, len(X_i))):
+            if A.ndim != 2 or A.shape[1] != width:
+                raise ValueError(f"{name} have shape {A.shape}, need "
+                                 f"{width} columns")
         out = np.full(len(Y), -1, dtype=np.int64)
         if comb_uv is None:
             return out
         u, v = comb_uv
-        X_i = sorted(self.inst.X[i])
         stripped = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
         pos = self._lookup(i, field.matmul(stripped, H.T))
         hit = pos >= 0

@@ -1,10 +1,19 @@
 """Broadcast simulation: encode once, corrupt, let every receiver decode.
 
 Single runs record per-receiver outcomes; campaigns tally seeded random
-trials or enumerate every case outright at desk scale.  Trial t of a
-campaign draws from the stream of ``np.random.default_rng((seed, t))``, so
-campaigns reproduce bit for bit and their statistics cannot depend on how
-the trials are split across workers.
+trials or enumerate every case outright at desk scale.
+
+A broadcast's outcome depends on its error alone.  Receiver i's estimate
+from x L + e is x_f(i) + (e - l(He)) u: its parity check H kills L_f(i)
+and L[Y_i], l(He) is the leader, and the combiner u has L u = v + e_f(i)
+with v on X_i; a missing leader or combiner fails every x.  So campaigns
+decode each error as the broadcast of x = 0, and exhaustive mode scales
+one pass over the errors by the q^n message vectors.
+
+Trial t of a campaign draws from the stream of
+``np.random.default_rng((seed, t))``, so campaigns reproduce bit for bit
+and their statistics cannot depend on how the trials are split across
+workers.
 
 Building that generator per trial costs a SeedSequence and a PCG64 only
 to run a fixed hash and one 128-bit LCG step.  `_trial_states` runs both
@@ -26,15 +35,15 @@ import functools
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decoding import (COSET_BUDGET, Decoder, check_broadcast, decode,
                        make_view)
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (block_rows, check_matrix, make_field, product_rows,
-                     sparse_blocks, sphere_volume)
+from .fields import (block_rows, check_matrix, make_field, sparse_blocks,
+                     sphere_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +127,31 @@ def draw_error(rng, field, N, delta, forced_weight=None):
     return e
 
 
-def _tally(inst, field, L, decoder, X, E):
-    """Decode a block of broadcasts (messages X, errors E, one per row) at
-    every receiver: (cases, successes, per-receiver failures, max weight).
+def _tally(inst, decoder, E):
+    """Decode errors E (one per row) as broadcasts of x = 0 at every
+    receiver: (cases, successes, per-receiver failures, max weight).
     decoder None means no table fits the budget: every receiver fails."""
-    T = len(X)
+    T = len(E)
     failures = np.zeros(inst.m, dtype=np.int64)
     everyone = np.ones(T, dtype=bool)
-    Y = field.add_arr(field.matmul(X, L), E)
     for i in range(inst.m):
         if decoder is None:
             right = np.zeros(T, dtype=bool)
         else:
-            side = X[:, sorted(inst.X[i])]
-            right = decoder.decode_block(i, Y, side) == X[:, inst.f[i]]
+            side = np.zeros((T, len(inst.X[i])), dtype=np.int64)
+            right = decoder.decode_block(i, E, side) == 0
         failures[i] = T - np.count_nonzero(right)
         everyone &= right
     return (T, int(np.count_nonzero(everyone)), failures,
             int(np.count_nonzero(E, axis=1).max(initial=0)))
 
 
-def _merge(parts, mode, seed=None):
+def _merge(parts, mode, seed=None, scale=1):
+    trials, successes, failures, weights = zip(*parts)
     return CampaignStats(
-        trials=sum(p[0] for p in parts), successes=sum(p[1] for p in parts),
-        failures=tuple(int(v) for v in np.sum([p[2] for p in parts], axis=0)),
-        max_weight=max(p[3] for p in parts), mode=mode, seed=seed)
+        trials=scale * sum(trials), successes=scale * sum(successes),
+        failures=tuple(scale * int(v) for v in np.sum(failures, axis=0)),
+        max_weight=max(weights), mode=mode, seed=seed)
 
 
 def _decoder_or_none(inst, field, L, delta, budget):
@@ -248,13 +257,12 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        X = np.empty((b - a, n), dtype=np.int64)
         E = np.empty((b - a, N), dtype=np.int64)
         for row, state in enumerate(_trial_states(seed, a, b)):
             rng.bit_generator.state = state
-            X[row] = rng.integers(0, q, size=n)
+            rng.integers(0, q, size=n)       # x: keeps the stream, never read
             E[row] = draw_error(rng, field, N, delta, forced_weight)
-        parts.append(_tally(inst, field, L, decoder, X, E))
+        parts.append(_tally(inst, decoder, E))
     return parts
 
 
@@ -271,21 +279,21 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     non-negative integer (TypeError, ValueError otherwise) and trials lies
     in 1..MAX_TRIALS = 2**32, the trial indices one 32-bit entropy word
     holds; both are checked before a Decoder is built.
-    Exhaustive mode ignores `trials` and `seed` and enumerates every
-    message vector against every error of weight <= delta (or exactly
+    Exhaustive mode ignores `trials` and `seed` and counts every message
+    vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.
 
-    Trials are evaluated a block at a time (block_rows trials): the block's
-    messages X and errors E give Y = X L + E with one matmul, and each
-    receiver strips its side information, takes syndromes, looks up leaders
-    in its Decoder table and recovers its symbol for the whole block with
-    array operations.  The outcomes equal simulate_once on each trial.  A
-    receiver with no combiner (NotAnIndexCode) fails every trial; when the
-    leader table exceeds budget, every receiver fails every trial, as the
-    streaming decodes would.
+    Outcomes depend on the error alone (module docstring): random trials
+    draw x, keeping each trial's stream, but decode only the error, and
+    exhaustive mode enumerates the errors once, scaling the counts by q^n.
+    Each receiver decodes a block of errors at a time with its Decoder
+    table and matches simulate_once on every case.  A receiver with no
+    combiner (NotAnIndexCode) fails every case; when the leader table
+    exceeds budget, every receiver fails every case, as the streaming
+    decodes would.
 
     budget caps the error patterns a leader table may hold and, in
-    exhaustive mode, the cases enumerated: q^n message vectors times the
+    exhaustive mode, the cases counted: q^n message vectors times the
     sphere_volume(q, N, delta or forced_weight) error patterns scanned.
     BudgetExceeded is raised before any case runs.
     """
@@ -303,22 +311,11 @@ def trial_campaign(inst, field, L, delta, trials, seed,
             raise BudgetExceeded(
                 f"exhaustive campaign of {cases} cases exceeds budget {budget}")
         decoder = _decoder_or_none(inst, field, L, delta, budget)
-        parts = []
-        step = block_rows(N * max(n, N))
-        for errors in sparse_blocks(field.q, N, cap, step):
-            if forced_weight is not None:
-                errors = errors[np.count_nonzero(errors, axis=1)
-                                == forced_weight]
-            if not len(errors):
-                continue
-            per = max(1, step // len(errors))
-            for a in range(0, field.q ** n, per):
-                X = product_rows(field.q, n,
-                                 np.arange(a, min(a + per, field.q ** n)))
-                parts.append(_tally(inst, field, L, decoder,
-                                    np.repeat(X, len(errors), axis=0),
-                                    np.tile(errors, (len(X), 1))))
-        return _merge(parts, "exhaustive")
+        blocks = sparse_blocks(field.q, N, cap, block_rows(N * max(n, N)))
+        if forced_weight is not None:      # the shell: weight exactly cap
+            blocks = (E[np.count_nonzero(E, axis=1) == cap] for E in blocks)
+        parts = [_tally(inst, decoder, E) for E in blocks]
+        return _merge(parts, "exhaustive", scale=field.q ** n)
 
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in 1..{MAX_TRIALS}")

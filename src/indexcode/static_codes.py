@@ -24,7 +24,7 @@ from .errors import BudgetExceeded
 from .fields import (block_rows, check_matrix, fill_supports, lex_supports,
                      make_field, product_index, product_rows, rank,
                      span_matrix, sparse_vectors, sphere_volume)
-from .instances import Instance, make_instance
+from .instances import make_instance
 from .search import projective_index, projective_reps
 
 COMBO_BUDGET = 2_000_000        # verify_rho_delta coefficient vectors with

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from indexcode import fields
+from indexcode.codes import construct_concat
 from indexcode.decoding import (
     Decoder,
     code_Ci,
@@ -360,6 +361,63 @@ def test_negative_radius_is_rejected(F2, k3, k3_L):
     with pytest.raises(ValueError, match="delta must be >= 0"):
         min_weight_coset_solution(F2, H, np.zeros(len(H), dtype=np.int64),
                                   -1)
+
+
+def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
+    """Length-1 words against a 3-column code used to broadcast through the
+    side-information product and decode to [0, 0]; words and side rows of
+    the wrong width are refused as decode() refuses a view."""
+    L = np.array([[1, 1, 1]] * 3, dtype=np.int64)
+    dec = Decoder(k3, F2, L, 1)
+    side = np.array([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"received words .*\(2, 1\).*3 col"):
+        dec.decode_block(0, np.array([[1], [0]]), side)
+    with pytest.raises(ValueError, match=r"received words .*\(3,\).*3 col"):
+        dec.decode_block(0, np.array([1, 1, 1]), side)
+    with pytest.raises(ValueError, match=r"side rows .*\(2, 1\).*2 col"):
+        dec.decode_block(0, np.ones((2, 3), dtype=np.int64), side[:, :1])
+    Y = np.array([[1, 1, 1], [0, 1, 0]])
+    views = [make_view(k3, F2, 0, y, {1: s[0], 2: s[1]})
+             for y, s in zip(Y, side)]
+    assert dec.decode_block(0, Y, side).tolist() == [
+        dec.decode(v).x_hat for v in views]
+
+
+def test_decode_block_outcome_depends_on_error_alone():
+    """The estimate from x L + e is x_f(i) + (e - l(He)) u, so decoding e
+    as the broadcast of x = 0 gives the offset every x gets, or -1 (no
+    leader, no combiner) for every x alike.  Lifted codes, the same with
+    one entry redrawn, and raw random matrices over GF(2), GF(3), GF(4)."""
+    rng = np.random.default_rng(46)
+    seen = set()
+    for q in (2, 3, 4):
+        F = make_field(q)
+        for case in range(6):
+            inst = random_instance(rng, 2, 4 if q < 4 else 3)
+            if case % 3 == 2:
+                L = rng.integers(0, q, size=(inst.n, int(rng.integers(2, 6))))
+            else:
+                L = construct_concat(inst, F, 1)[0].copy()
+                if case % 3 == 1:
+                    L[rng.integers(L.shape[0]),
+                      rng.integers(L.shape[1])] = rng.integers(q)
+            T, N = 60, L.shape[1]
+            table = Decoder(inst, F, L, int(rng.integers(0, 2)))
+            X = rng.integers(0, q, size=(T, inst.n))
+            E = rng.integers(0, q, size=(T, N)) * (rng.random((T, N)) < 0.3)
+            Y = F.add_arr(F.matmul(X, L), E)
+            for i in range(inst.m):
+                side = X[:, sorted(inst.X[i])]
+                offset = table.decode_block(i, E, np.zeros_like(side))
+                want = np.where(offset >= 0, F.add_arr(
+                    X[:, inst.f[i]], np.maximum(offset, 0)), -1)
+                assert table.decode_block(i, Y, side).tolist() == want.tolist()
+                if table._tables[i][3] is None:
+                    seen.add("no combiner")
+                else:
+                    seen |= {("no leader", "right", "wrong")[min(v + 1, 2)]
+                             for v in offset.tolist()}
+    assert seen == {"no combiner", "no leader", "right", "wrong"}
 
 
 def _decoder_tables(seed):

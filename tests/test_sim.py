@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from indexcode import sim
+from indexcode import fields, sim
+from indexcode.bounds import _hamming_entry
+from indexcode.codes import construct_lift, verify
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import (block_rows, make_field, sparse_vectors,
                               sphere_volume, weight)
+from indexcode.instances import odd_cycle_instance
 from indexcode.sim import (
     CampaignStats,
     draw_error,
@@ -192,6 +195,49 @@ def test_campaign_exhaustive_budget(F2, k3, k3_L):
         trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=39)
     stats = trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=40)
     assert stats.trials == 40
+
+
+@pytest.mark.parametrize("q, delta, forced", [
+    (2, 2, None), (2, 2, 3), (3, 1, None), (3, 1, 2), (3, 1, 0)])
+def test_campaign_exhaustive_decodes_each_error_once(monkeypatch, q, delta,
+                                                     forced):
+    # the outcome does not depend on x: one pass over the ball (or the
+    # shell under forced_weight), in blocks of 10, counted q^n times
+    field = make_field(q)
+    L = np.random.default_rng(90 + q).integers(0, q, size=(5, 9))
+    inst = odd_cycle_instance(2)
+    whole = trial_campaign(inst, field, L, delta, 0, 0,
+                           forced_weight=forced, exhaustive=True)
+    rows, tally = [], sim._tally
+
+    def counting(inst, decoder, E):
+        rows.append(len(E))
+        return tally(inst, decoder, E)
+
+    monkeypatch.setattr(sim, "_tally", counting)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", 10 * 9 * 9)
+    st = trial_campaign(inst, field, L, delta, 0, 0,
+                        forced_weight=forced, exhaustive=True)
+    errors = (sphere_volume(q, 9, delta) if forced is None else
+              sphere_volume(q, 9, forced) - sphere_volume(q, 9, forced - 1))
+    assert sum(rows) == errors
+    assert forced == 0 or len(rows) > 1
+    assert st == whole and st.trials == q ** inst.n * errors
+
+
+def test_campaign_exhaustive_lifted_c7():
+    # C_15 (odd_cycle_instance(7)): the pair-sum core of length 8 lifted
+    # through the [12, 8, 3] Hamming outer code; 2^15 message vectors times
+    # 13 patterns, every one decoded
+    F2 = make_field(2)
+    inst = odd_cycle_instance(7)
+    B = np.zeros((15, 8), dtype=np.int64)
+    B[np.arange(15), np.arange(15) // 2] = 1
+    L, _ = construct_lift(inst, F2, 1, B, _hamming_entry(F2, 8).generator)
+    assert L.shape == (15, 12) and verify(inst, F2, L, 1).ok
+    st = trial_campaign(inst, F2, L, 1, 0, 0, exhaustive=True)
+    assert st.trials == st.successes == 425_984
+    assert st.failures == (0,) * 15 and st.max_weight == 1
 
 
 @pytest.mark.parametrize("exhaustive, trials", [(False, 5), (True, 8)])
