@@ -370,11 +370,11 @@ def _int_at_least(lo):
     return parse
 
 
-def _common():
+def _common(budget_help="node / table-size cap for the underlying search"):
     c = argparse.ArgumentParser(add_help=False)
     c.add_argument("--format", choices=("text", "json"), default="text")
     c.add_argument("--budget", type=_int_at_least(0), default=None,
-                   help="node / table-size cap for the underlying search")
+                   help=budget_help)
     return c
 
 
@@ -440,8 +440,10 @@ def build_parser():
     d.add_argument("--delta", type=int, required=True)
     d.set_defaults(func=cmd_decode)
 
-    s = sub.add_parser("simulate", parents=[common],
-                       help="seeded broadcast campaigns")
+    s = sub.add_parser("simulate", parents=[_common(
+        "cap on the error patterns a leader table holds and, with "
+        "--exhaustive, on those scanned (each counts once, not once per "
+        "message vector)")], help="seeded broadcast campaigns")
     s.add_argument("--instance", required=True)
     s.add_argument("--matrix", required=True)
     s.add_argument("--delta", type=int, required=True)

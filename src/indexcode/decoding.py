@@ -300,18 +300,21 @@ class Decoder:
                             weight_searched=weight(e_hat), cost=0,
                             method="table")
 
-    def decode_block(self, i, Y, side):
+    def decode_block(self, i, Y, side=None):
         """Receiver i's demanded symbol for each row of Y (received words),
-        given side (one row per word: the values x_j for j in sorted X_i).
-        Returns int64 symbols, -1 where decode() would raise.  ValueError
-        when Y does not have N columns or side does not have |X_i|."""
+        given side (one row per word: the values x_j for j in sorted X_i;
+        None means x_j = 0 throughout, and skips stripping them).  Returns
+        int64 symbols, -1 where decode() would raise.  ValueError when Y
+        does not have N columns or side does not have |X_i|."""
         field = self.field
         H, _, first, comb_uv = self._tables[i]
         X_i = sorted(self.inst.X[i])
         Y = np.asarray(Y, dtype=np.int64)
-        side = np.asarray(side, dtype=np.int64)
-        for name, A, width in (("received words", Y, self.L.shape[1]),
-                               ("side rows", side, len(X_i))):
+        checks = [("received words", Y, self.L.shape[1])]
+        if side is not None:
+            side = np.asarray(side, dtype=np.int64)
+            checks.append(("side rows", side, len(X_i)))
+        for name, A, width in checks:
             if A.ndim != 2 or A.shape[1] != width:
                 raise ValueError(f"{name} have shape {A.shape}, need "
                                  f"{width} columns")
@@ -319,12 +322,15 @@ class Decoder:
         if comb_uv is None:
             return out
         u, v = comb_uv
-        stripped = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
+        stripped = Y if side is None else field.sub_arr(
+            Y, field.matmul(side, self.L[X_i]))
         pos = self._lookup(i, field.matmul(stripped, H.T))
         hit = pos >= 0
         corrected = field.sub_arr(Y[hit], self._patterns[first[pos[hit]]])
-        out[hit] = field.sub_arr(field.matvec(corrected, u),
-                                 field.matvec(side[hit], v[X_i]))
+        symbols = field.matvec(corrected, u)
+        if side is not None:
+            symbols = field.sub_arr(symbols, field.matvec(side[hit], v[X_i]))
+        out[hit] = symbols
         return out
 
 

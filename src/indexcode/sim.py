@@ -15,18 +15,26 @@ Trial t of a campaign draws from the stream of
 and their statistics cannot depend on how the trials are split across
 workers.
 
-Building that generator per trial costs a SeedSequence and a PCG64 only
-to run a fixed hash and one 128-bit LCG step.  `_trial_states` runs both
-for a block of trials at once instead: NumPy's SeedSequence mixing of the
-entropy words ``words(seed) + [t]`` as uint32 array arithmetic, one column
-per trial, then PCG64's set-seed step in Python ints; one Generator loads
-each state in turn.  The result is exact, not a lookalike: the hash
-(O'Neill's seed_seq design, as numpy implements it) and the set-seed step
-(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
-Good Algorithms for Random Number Generation") are fixed, documented
-algorithms, and the tests compare states and draws with default_rng's.
-The seed must be a non-negative integer, and t one 32-bit entropy word, so
-a campaign runs at most 2**32 trials.
+Building that generator per trial, and drawing from it, costs far more
+than the fixed arithmetic it runs, so `_draw_block` runs that arithmetic
+for a block of trials at once with array steps, one column or row per
+trial.  `_seed_words` is NumPy's SeedSequence hash of the entropy words
+``words(seed) + [t]`` as uint32 arithmetic.  `_raw_outputs` runs PCG64 on
+32-bit limbs of its 128-bit states: the set-seed step and every state the
+draws read are one multiply-add with precomputed powers of the multiplier,
+and XSL-RR turns each state into an output (O'Neill 2014, "PCG: A Family
+of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation").  The draws are numpy's own on the 32-bit halves of
+those outputs: Lemire's bounded integers (Lemire 2019, "Fast Random
+Integer Generation in an Interval") for x, the weight and the values, and
+Floyd's sampler followed by a Fisher-Yates shuffle of the picks for
+``choice(N, w, replace=False)``.  A trial on which Lemire's method would
+reject a word, or that ``choice`` would serve by shuffling the tail of an
+arange (N > 10000 and w > N // 50), is redrawn by loading its state
+(`_trial_states`) into a Generator and calling draw_error, so every error
+is exact, not a lookalike; the tests compare states, outputs and errors
+with default_rng's.  The seed must be a non-negative integer, and t one
+32-bit entropy word, so a campaign runs at most 2**32 trials.
 """
 
 from __future__ import annotations
@@ -117,7 +125,8 @@ class CampaignStats:
 def draw_error(rng, field, N, delta, forced_weight=None):
     """Two-stage error draw: weight uniform on 0..min(delta, N) (or
     forced), then support uniform among subsets, then values uniform among
-    nonzeros."""
+    nonzeros.  Campaigns compute these same draws for a block of trials
+    at once (`_draw_block`); this is their definition."""
     w = forced_weight if forced_weight is not None \
         else int(rng.integers(0, min(delta, N) + 1))
     e = np.zeros(N, dtype=np.int64)
@@ -138,8 +147,7 @@ def _tally(inst, decoder, E):
         if decoder is None:
             right = np.zeros(T, dtype=bool)
         else:
-            side = np.zeros((T, len(inst.X[i])), dtype=np.int64)
-            right = decoder.decode_block(i, E, side) == 0
+            right = decoder.decode_block(i, E) == 0
         failures[i] = T - np.count_nonzero(right)
         everyone &= right
     return (T, int(np.count_nonzero(everyone)), failures,
@@ -212,12 +220,14 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _trial_states(seed, start, stop):
-    """PCG64 states of default_rng((seed, t)) for t in start..stop-1, as
-    values for `bit_generator.state`; 0 <= seed, stop <= MAX_TRIALS.
+def _seed_words(seed, start, stop):
+    """SeedSequence((seed, t)).generate_state(4, uint64) for t in
+    start..stop-1 as eight rows of uint32 words, one column per trial: the
+    words of the PCG64 seed (high uint64, low) and then of its increment
+    (high, low), each uint64 low word first; 0 <= seed, stop <= MAX_TRIALS.
 
-    Every array holds uint32 words, one column per trial, so products wrap
-    mod 2^32 as the C hash's do."""
+    Every array holds uint32 words, so products wrap mod 2^32 as the C
+    hash's do."""
     seed = operator.index(seed)
     words = [seed & 0xFFFFFFFF]          # little-endian 32-bit words
     while seed >> 32 * len(words):
@@ -234,9 +244,16 @@ def _trial_states(seed, start, stop):
         pool = mixed
     for word, (x, m) in zip(entropy[4:], rounds[4:]):
         pool = _mix(pool, _hashmix(word, x, m))
-    out = _hashmix(pool, _GEN_X, _GEN_M).reshape(8, -1)
+    return _hashmix(pool, _GEN_X, _GEN_M).reshape(8, -1)
+
+
+def _trial_states(seed, start, stop):
+    """PCG64 states of default_rng((seed, t)) for t in start..stop-1, as
+    values for `bit_generator.state`: PCG64's set-seed step on the
+    `_seed_words` of each trial."""
     # word pairs make the uint64s (seed high, seed low, inc high, inc low)
-    pairs = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    pairs = np.ascontiguousarray(_seed_words(seed, start, stop).T,
+                                 dtype="<u4").view("<u8")
     states = []
     for s_hi, s_lo, i_hi, i_lo in pairs.tolist():
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
@@ -247,21 +264,163 @@ def _trial_states(seed, start, stop):
     return states
 
 
+@functools.cache
+def _output_steps(K):
+    """(A, B) as four rows of 32-bit limbs (least significant first), K
+    columns: PCG64 with seed word S and increment inc draws its k-th output
+    from the state A_k S + B_k inc mod 2^128, after the set-seed step
+    (S + inc) M + inc and k + 1 steps s M + inc, M = _PCG_MULT."""
+    A, B, steps = _PCG_MULT, _PCG_MULT + 1, []
+    for _ in range(K):
+        A, B = A * _PCG_MULT & _MASK128, B * _PCG_MULT + 1 & _MASK128
+        steps.append([v >> shift & 0xFFFFFFFF
+                      for v in (A, B) for shift in (0, 32, 64, 96)])
+    cols = np.array(steps, dtype=np.uint64).reshape(K, 8).T
+    cols.setflags(write=False)           # cached: every caller shares it
+    return cols[:4], cols[4:]
+
+
+def _mul_add(terms):
+    """The sum of a * b mod 2^128 over the (a, b) limb lists in terms: each
+    product of two 32-bit limbs is split in halves and summed by column,
+    so no uint64 sum overflows, then the carries."""
+    cols = [0, 0, 0, 0]
+    for a, b in terms:
+        for i in range(4):
+            for j in range(4 - i):
+                p = a[i] * b[j]
+                cols[i + j] = cols[i + j] + (p & 0xFFFFFFFF)
+                if i + j < 3:
+                    cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    limbs, carry = [], 0
+    for col in cols:
+        col = col + carry
+        limbs.append(col & 0xFFFFFFFF)
+        carry = col >> 32
+    return limbs
+
+
+def _raw_outputs(seed, start, stop, K):
+    """The first K 64-bit outputs of default_rng((seed, t)).bit_generator
+    for t in start..stop-1, (T, K) uint64, computed with array steps:
+    every state from `_output_steps` and PCG64's XSL-RR output function."""
+    w = _seed_words(seed, start, stop).astype(np.uint64)[:, :, None]
+    S, inc = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
+    inc = [inc[0] << 1 & 0xFFFFFFFF | 1] + [
+        (inc[k] << 1 | inc[k - 1] >> 31) & 0xFFFFFFFF for k in (1, 2, 3)]
+    A, B = _output_steps(K)
+    X = _mul_add([(S, A), (inc, B)])
+    x = (X[3] << 32 | X[2]) ^ (X[1] << 32 | X[0])
+    rot = X[3] >> 26
+    return x >> rot | x << (np.uint64(64) - rot & 63)
+
+
+def _lemire(u, r):
+    """NumPy's bounded draw on 0..r-1 from the 32-bit words u (uint64):
+    (value, rejected).  A rejected word makes numpy read another."""
+    m = u * r
+    return m >> 32, (m & 0xFFFFFFFF) < np.uint64(2 ** 32) % r
+
+
+def _draw_block(field, n, N, delta, forced_weight, seed, start, stop):
+    """The errors of trials start..stop-1, one per row: on
+    rng = default_rng((seed, t)), row t - start is exactly
+    ``rng.integers(0, q, size=n); draw_error(rng, field, N, delta,
+    forced_weight)`` (module docstring).
+
+    Each draw keeps one word pointer per trial into the 32-bit words
+    next_uint32 reads, the low half of each output first; a draw on a
+    range of one value reads no word."""
+    q = field.q
+    cap = min(delta, N) if forced_weight is None else forced_weight
+    # words read: n for x, one for the weight, then w each for Floyd's
+    # picks and the values and w - 1 for the shuffle, n + 3 cap at most
+    K = (n + 3 * cap + 1) // 2
+    raw = _raw_outputs(seed, start, stop, K)
+    T, rows = len(raw), np.arange(len(raw))
+    words = np.empty((T, 2 * K), dtype=np.uint64)
+    words[:, 0::2], words[:, 1::2] = raw & 0xFFFFFFFF, raw >> 32
+
+    # x: n draws on 0..q-1, read and thrown away
+    bad = _lemire(words[:, :n], np.uint64(q))[1].any(axis=1)
+    ptr = np.full(T, n)
+    if forced_weight is None and cap:
+        w, rejected = _lemire(words[:, n], np.uint64(cap + 1))
+        w, ptr = w.astype(np.int64), ptr + 1
+        bad |= rejected
+    else:                                    # forced, or drawn on 0..0
+        w = np.full(T, cap)
+    if N > 10000:                            # choice's tail shuffle
+        bad |= w > N // 50
+    # Floyd: pick k on 0..j, j = N - w + k; a repeat takes j itself
+    picks = np.full((T, cap), -1, dtype=np.int64)
+    for k in range(cap):
+        live = k < w
+        j = N - w + k
+        val, rejected = _lemire(words[rows, ptr], (j + 1).astype(np.uint64))
+        val = val.astype(np.int64)
+        reads = live & (j > 0)
+        bad |= reads & rejected
+        ptr += reads
+        seen = (picks[:, :k] == val[:, None]).any(axis=1)
+        picks[:, k] = np.where(live, np.where(seen, j, val), -1)
+    # shuffle: for i = w-1 down to 1, swap picks i and j, j on 0..i
+    for i in range(cap - 1, 0, -1):
+        live = i < w
+        j, rejected = _lemire(words[rows, ptr], np.uint64(i + 1))
+        j = j.astype(np.int64)
+        bad |= live & rejected
+        ptr += live
+        r = rows[live]
+        picks[r, i], picks[r, j[r]] = picks[r, j[r]], picks[r, i]
+    # values on 1..q-1, the k-th landing on pick k
+    live = np.arange(cap) < w[:, None]
+    if q > 2:
+        val, rejected = _lemire(
+            words[rows[:, None], ptr[:, None] + np.arange(cap)],
+            np.uint64(q - 1))
+        bad |= (live & rejected).any(axis=1)
+        val = val.astype(np.int64) + 1
+    else:
+        val = np.ones((T, cap), dtype=np.int64)
+    E = np.zeros((T, N), dtype=np.int64)
+    r, c = np.nonzero(live)
+    E[r, picks[r, c]] = val[r, c]
+    bad = np.flatnonzero(bad)
+    if len(bad):
+        states = _trial_states(seed, start, stop)
+        E[bad] = _draw_each(field, n, N, delta, forced_weight,
+                            [states[row] for row in bad])
+    return E
+
+
+def _draw_each(field, n, N, delta, forced_weight, states):
+    """The same errors as `_draw_block`, a Generator loaded per trial."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    E = np.empty((len(states), N), dtype=np.int64)
+    for row, state in enumerate(states):
+        rng.bit_generator.state = state
+        rng.integers(0, field.q, size=n)     # x: keeps the stream
+        E[row] = draw_error(rng, field, N, delta, forced_weight)
+    return E
+
+
 def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     field = make_field(q)
     decoder = _decoder_or_none(inst, field, L, delta, budget)
     n, N = L.shape
+    cap = min(delta, N) if forced_weight is None else forced_weight
     step = block_rows(N * max(n, N))
-    # a fixed seed: every trial overwrites the state before it draws
-    rng = np.random.Generator(np.random.PCG64(0))
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        E = np.empty((b - a, N), dtype=np.int64)
-        for row, state in enumerate(_trial_states(seed, a, b)):
-            rng.bit_generator.state = state
-            rng.integers(0, q, size=n)       # x: keeps the stream, never read
-            E[row] = draw_error(rng, field, N, delta, forced_weight)
+        # the array steps of a block cost about as much as 2 (cap + 3)
+        # trials drawn one at a time, whatever the block's size
+        if b - a > 2 * (cap + 3):
+            E = _draw_block(field, n, N, delta, forced_weight, seed, a, b)
+        else:
+            E = _draw_each(field, n, N, delta, forced_weight,
+                           _trial_states(seed, a, b))
         parts.append(_tally(inst, decoder, E))
     return parts
 
@@ -273,19 +432,24 @@ def trial_campaign(inst, field, L, delta, trials, seed,
 
     Random mode runs `trials` draws: x uniform, error weight uniform on
     0..min(delta, N) (or exactly forced_weight), then support and values
-    uniform.  Trial t draws from the stream of default_rng((seed, t)); the
-    states of a block of trials are hashed together (`_trial_states`,
-    exact to the bit) and loaded into one Generator.  seed must be a
-    non-negative integer (TypeError, ValueError otherwise) and trials lies
-    in 1..MAX_TRIALS = 2**32, the trial indices one 32-bit entropy word
-    holds; both are checked before a Decoder is built.
+    uniform.  Trial t draws from the stream of default_rng((seed, t)), bit
+    for bit: a block of trials at a time is seeded, run through PCG64 and
+    drawn with numpy's own algorithms (Lemire's bounded integers; Floyd's
+    sampler and a shuffle for the support) in array steps, and the rare
+    trial those steps cannot finish (a rejected word, numpy's tail-shuffle
+    branch) is redrawn with draw_error on its own Generator; see the
+    module docstring.  seed must be a non-negative integer (TypeError,
+    ValueError otherwise) and trials lies in 1..MAX_TRIALS = 2**32, the
+    trial indices one 32-bit entropy word holds; both are checked before a
+    Decoder is built.
     Exhaustive mode ignores `trials` and `seed` and counts every message
     vector against every error of weight <= delta (or exactly
     forced_weight), removing the sampling distribution altogether.
 
     Outcomes depend on the error alone (module docstring): random trials
-    draw x, keeping each trial's stream, but decode only the error, and
-    exhaustive mode enumerates the errors once, scaling the counts by q^n.
+    skip the words x takes from each trial's stream and decode only the
+    error, and exhaustive mode enumerates the errors once, scaling the
+    counts by q^n.
     Each receiver decodes a block of errors at a time with its Decoder
     table and matches simulate_once on every case.  A receiver with no
     combiner (NotAnIndexCode) fails every case; when the leader table
@@ -293,8 +457,8 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     decodes would.
 
     budget caps the error patterns a leader table may hold and, in
-    exhaustive mode, the cases counted: q^n message vectors times the
-    sphere_volume(q, N, delta or forced_weight) error patterns scanned.
+    exhaustive mode, the sphere_volume(q, N, delta or forced_weight) error
+    patterns scanned (each stands for q^n cases in the counts).
     BudgetExceeded is raised before any case runs.
     """
     L = check_matrix(field, L)
@@ -306,10 +470,11 @@ def trial_campaign(inst, field, L, delta, trials, seed,
 
     if exhaustive:
         cap = delta if forced_weight is None else forced_weight
-        cases = field.q ** n * sphere_volume(field.q, N, cap)
-        if cases > budget:
+        patterns = sphere_volume(field.q, N, cap)
+        if patterns > budget:
             raise BudgetExceeded(
-                f"exhaustive campaign of {cases} cases exceeds budget {budget}")
+                f"exhaustive campaign over {patterns} error patterns exceeds "
+                f"budget {budget}")
         decoder = _decoder_or_none(inst, field, L, delta, budget)
         blocks = sparse_blocks(field.q, N, cap, block_rows(N * max(n, N)))
         if forced_weight is not None:      # the shell: weight exactly cap

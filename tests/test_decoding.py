@@ -383,13 +383,11 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
         dec.decode(v).x_hat for v in views]
 
 
-def test_decode_block_outcome_depends_on_error_alone():
-    """The estimate from x L + e is x_f(i) + (e - l(He)) u, so decoding e
-    as the broadcast of x = 0 gives the offset every x gets, or -1 (no
-    leader, no combiner) for every x alike.  Lifted codes, the same with
-    one entry redrawn, and raw random matrices over GF(2), GF(3), GF(4)."""
+def _error_alone_cases():
+    """Seeded (field, instance, L, Decoder, X, E) cases of 60 broadcasts:
+    lifted codes, the same with one entry redrawn, and raw random matrices
+    over GF(2), GF(3), GF(4)."""
     rng = np.random.default_rng(46)
-    seen = set()
     for q in (2, 3, 4):
         F = make_field(q)
         for case in range(6):
@@ -405,19 +403,39 @@ def test_decode_block_outcome_depends_on_error_alone():
             table = Decoder(inst, F, L, int(rng.integers(0, 2)))
             X = rng.integers(0, q, size=(T, inst.n))
             E = rng.integers(0, q, size=(T, N)) * (rng.random((T, N)) < 0.3)
-            Y = F.add_arr(F.matmul(X, L), E)
-            for i in range(inst.m):
-                side = X[:, sorted(inst.X[i])]
-                offset = table.decode_block(i, E, np.zeros_like(side))
-                want = np.where(offset >= 0, F.add_arr(
-                    X[:, inst.f[i]], np.maximum(offset, 0)), -1)
-                assert table.decode_block(i, Y, side).tolist() == want.tolist()
-                if table._tables[i][3] is None:
-                    seen.add("no combiner")
-                else:
-                    seen |= {("no leader", "right", "wrong")[min(v + 1, 2)]
-                             for v in offset.tolist()}
+            yield F, inst, L, table, X, E
+
+
+def test_decode_block_outcome_depends_on_error_alone():
+    """The estimate from x L + e is x_f(i) + (e - l(He)) u, so decoding e
+    as the broadcast of x = 0 gives the offset every x gets, or -1 (no
+    leader, no combiner) for every x alike."""
+    seen = set()
+    for F, inst, L, table, X, E in _error_alone_cases():
+        Y = F.add_arr(F.matmul(X, L), E)
+        for i in range(inst.m):
+            side = X[:, sorted(inst.X[i])]
+            offset = table.decode_block(i, E, np.zeros_like(side))
+            want = np.where(offset >= 0, F.add_arr(
+                X[:, inst.f[i]], np.maximum(offset, 0)), -1)
+            assert table.decode_block(i, Y, side).tolist() == want.tolist()
+            if table._tables[i][3] is None:
+                seen.add("no combiner")
+            else:
+                seen |= {("no leader", "right", "wrong")[min(v + 1, 2)]
+                         for v in offset.tolist()}
     assert seen == {"no combiner", "no leader", "right", "wrong"}
+
+
+def test_decode_block_without_side_is_x_zero():
+    # side=None decodes as if every x_j on X_i were 0, on any received word
+    for F, inst, L, table, X, E in _error_alone_cases():
+        Y = F.add_arr(F.matmul(X, L), E)
+        for i in range(inst.m):
+            zero = np.zeros((len(E), len(inst.X[i])), dtype=np.int64)
+            for words in (E, Y):
+                assert (table.decode_block(i, words).tolist()
+                        == table.decode_block(i, words, zero).tolist())
 
 
 def _decoder_tables(seed):

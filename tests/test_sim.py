@@ -190,10 +190,11 @@ def test_campaign_exhaustive_weight3_defeats_pentagon(F2, pentagon,
 
 
 def test_campaign_exhaustive_budget(F2, k3, k3_L):
-    # the budget counts cases: 8 message vectors times 5 error patterns
+    # the budget counts the 5 error patterns scanned, not the 40 cases
+    # they stand for with the 8 message vectors
     with pytest.raises(BudgetExceeded):
-        trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=39)
-    stats = trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=40)
+        trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=4)
+    stats = trial_campaign(k3, F2, k3_L, 1, 0, 0, exhaustive=True, budget=5)
     assert stats.trials == 40
 
 
@@ -408,6 +409,18 @@ def test_campaign_over_budget_table_fails_everyone(q):
                                           budget=budget)
 
 
+@pytest.mark.parametrize("trials", [1, 8, 9])
+def test_campaign_small_blocks_match_oracle(trials):
+    # a block too small to pay for the array steps (at most 8 trials at
+    # radius 1) is drawn a Generator at a time; both ways give the oracle
+    F3 = make_field(3)
+    rng = np.random.default_rng(81)
+    inst = random_instance(rng, 3, 3)
+    L = rng.integers(0, 3, size=(inst.n, 4))
+    st = trial_campaign(inst, F3, L, 1, trials, seed=2**65 + 1)
+    assert _stats(st) == _oracle_campaign(inst, F3, L, 1, trials, 2**65 + 1)
+
+
 def test_campaign_workers_match_oracle_gf4():
     F4 = make_field(4)
     rng = np.random.default_rng(80)
@@ -419,3 +432,129 @@ def test_campaign_workers_match_oracle_gf4():
                              workers=2)
         assert one == two
         assert _stats(one) == _oracle_campaign(inst, F4, L, 1, 41, 5, forced)
+
+
+# ---------------------------------------------------------------------------
+# the block draw against default_rng
+# ---------------------------------------------------------------------------
+
+
+def _per_trial_errors(field, n, N, delta, forced, seed, ts):
+    rows = []
+    for t in ts:
+        rng = np.random.default_rng((seed, t))
+        rng.integers(0, field.q, size=n)
+        rows.append(draw_error(rng, field, N, delta, forced).tolist())
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_block_draw_is_default_rng(q):
+    # every length 1..60 at some radius, weights forced to 0, 1, N and
+    # just past the radius, delta 0 (no weight word), seeds past 2**64;
+    # two blocks that meet at a campaign block boundary
+    field = make_field(q)
+    for N in list(range(1, 13)) + [17, 23, 31, 42, 59, 60]:
+        n = 1 + N % 5
+        step = block_rows(N * max(n, N))
+        for delta in (0, 1, 2, 5):
+            for forced in sorted({0, 1, N, min(delta + 1, N)}) + [None]:
+                seed = (q * 7919 + N * 131 + delta) << (66 * (N % 2))
+                for a, b in ((step - 3, step), (step, step + 2)):
+                    E = sim._draw_block(field, n, N, delta, forced, seed,
+                                        a, b)
+                    assert E.tolist() == _per_trial_errors(
+                        field, n, N, delta, forced, seed, range(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**200 + 17])
+def test_raw_outputs_are_pcg64(seed):
+    raw = sim._raw_outputs(seed, 1000, 1005, 9)
+    for t, row in zip(range(1000, 1005), raw.tolist()):
+        bitgen = np.random.default_rng((seed, t)).bit_generator
+        assert row == bitgen.random_raw(9).tolist()
+
+
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+
+
+def _zero_word_seed(words, word):
+    """Seed words to replace a column of `_seed_words`, and the PCG64 state
+    they set: the increment stays, and the 32-bit word number `word` that
+    the generator reads is 0."""
+    w = [int(v) for v in words]
+    inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _MASK128
+    # a state whose output has the zero half, the other half not small
+    hi = 0x0123456789ABCDEF
+    out = 0x9E3779B9 << 32 if word % 2 == 0 else 0x7F4A7C15
+    rot = hi >> 58
+    state = hi << 64 | hi ^ ((out << rot | out >> (64 - rot)) & _MASK64)
+    for _ in range(word // 2 + 1):     # back to the set-seed state
+        state = (state - inc) * _PCG_MULT_INV & _MASK128
+    state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.PCG64(0)
+    bitgen.state = state
+    assert int(bitgen.random_raw(word // 2 + 1)[-1]) == out
+    S = ((state["state"]["state"] - inc) * _PCG_MULT_INV - inc) & _MASK128
+    column = words.copy()
+    column[:4] = [S >> 64 & 0xFFFFFFFF, S >> 96, S & 0xFFFFFFFF,
+                  S >> 32 & 0xFFFFFFFF]
+    return column, state
+
+
+def _count_redraws(monkeypatch):
+    # the block draw calls draw_error only for the trials it redraws
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return draw_error(*args)
+
+    monkeypatch.setattr(sim, "draw_error", counting)
+    return calls
+
+
+@pytest.mark.parametrize("draw, q, delta, forced, word", [
+    ("x", 3, 2, None, 1),            # x on 0..2
+    ("weight", 3, 2, None, 3),       # the weight on 0..2
+    ("floyd", 2, 1, 2, 4),           # the second pick on 0..8
+    ("shuffle", 2, 1, 3, 6),         # the first swap, on 0..2
+    ("value", 4, 1, 2, 6),           # the first value on 1..3
+])
+def test_block_draw_redraws_rejected_words(monkeypatch, draw, q, delta,
+                                           forced, word):
+    # word 0 is rejected on any range that is not a power of two; the
+    # trial it lands in (trial 4) is redrawn, the others are not
+    field, n, N, seed = make_field(q), 3, 9, 12
+    want = _per_trial_errors(field, n, N, delta, forced, seed, range(8))
+    column, state = _zero_word_seed(sim._seed_words(seed, 4, 5)[:, 0], word)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    rng.integers(0, q, size=n)
+    want[4] = draw_error(rng, field, N, delta, forced).tolist()
+    seed_words = sim._seed_words
+
+    def crafted(seed, start, stop):
+        words = seed_words(seed, start, stop)
+        if start <= 4 < stop:
+            words[:, 4 - start] = column
+        return words
+
+    monkeypatch.setattr(sim, "_seed_words", crafted)
+    calls = _count_redraws(monkeypatch)
+    E = sim._draw_block(field, n, N, delta, forced, seed, 0, 8)
+    assert len(calls) == 1 and E.tolist() == want
+
+
+@pytest.mark.parametrize("w, redrawn", [(200, 0), (201, 3), (300, 3)])
+def test_block_draw_redraws_tail_shuffles(monkeypatch, w, redrawn):
+    # numpy's choice shuffles the tail of an arange when N > 10000 and
+    # w > N // 50, so those trials are redrawn through draw_error
+    F3, N = make_field(3), 10001
+    want = _per_trial_errors(F3, 2, N, 0, w, 5, range(3))
+    calls = _count_redraws(monkeypatch)
+    E = sim._draw_block(F3, 2, N, 0, w, 5, 0, 3)
+    assert len(calls) == redrawn and E.tolist() == want
