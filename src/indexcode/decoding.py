@@ -11,7 +11,10 @@ The combiner comes from solving L u = v + e_f(i) with v supported on the
 receiver's side information; it depends only on (L, i), so the Decoder class
 precomputes it, with a leader table over one shared array of error
 patterns, for fast repeated decoding, one view or a whole block of received
-words at a time.
+words at a time.  It builds those tables for all receivers at once: one
+stacked elimination (fields.rref_stack) gives every parity check and
+combiner, and one stacked product per number of checks every syndrome
+key; code_Ci and find_combiner remain the one-receiver definitions.
 Up to delta errors, the recovered symbol is exact whenever L verifies at
 delta, even though the error estimate itself may differ from the true error
 by something the receiver cannot, and need not, distinguish.
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (block_rows, check_matrix, kernel_basis, product_index,
-                     solve_one, span_matrix, sparse_blocks, sparse_vectors,
-                     sphere_volume, weight)
+from .fields import (block_rows, check_matrix, kernel_basis, kernel_from_rref,
+                     product_index, rref_stack, solve_one, span_matrix,
+                     sparse_blocks, sparse_vectors, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
@@ -233,6 +236,42 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
                         cost=cost, method="stream")
 
 
+def _receiver_systems(inst, field, L):
+    """Every receiver's parity check, code_Ci(inst, field, L, i)[1], and
+    combiner, find_combiner's (u, v) or None where it raises, from one
+    rref_stack over 2m matrices of width N + n + 1 (in block_rows stacks):
+    L with the X_i rows zeroed, which spans receiver i's local code, so its
+    rref and kernel are code_Ci's; and [L | -D_i | e_f(i)], D_i the 0/1
+    diagonal of X_i, find_combiner's system with a zero column for each
+    message outside X_i.  Zero columns never pivot, so the
+    free-variables-zero solution is solve_one's."""
+    m, (n, N) = inst.m, L.shape
+    W = N + n + 1
+    own = np.zeros((m, n, 1), dtype=np.int64)
+    for i in range(m):
+        own[i, sorted(inst.X[i])] = 1
+    A = np.zeros((2 * m, n, W), dtype=np.int64)
+    A[:m, :, :N] = L * (1 - own)
+    A[m:, :, :N] = L
+    A[m:, :, N:W - 1] = own * np.eye(n, dtype=np.int64) * field.neg(1)
+    A[m + np.arange(m), inst.f, W - 1] = 1
+    step = block_rows(n * W)
+    R, pivots = map(np.concatenate, zip(*[
+        rref_stack(field, A[a:a + step]) for a in range(0, 2 * m, step)]))
+    checks = [kernel_from_rref(field, R[i], pivots[i][pivots[i] >= 0].tolist(),
+                               N) for i in range(m)]
+    # x[pivot] = the rhs entry of its row; rows past the rank write 0 to
+    # the rhs column, which no solution keeps
+    R, pivots = R[m:], pivots[m:]
+    x = np.zeros((m, W), dtype=np.int64)
+    x[np.arange(m)[:, None], np.where(pivots >= 0, pivots, W - 1)] = \
+        R[:, :n, W - 1]
+    solvable = (pivots != W - 1).all(axis=1)
+    combiners = [(x[i, :N], x[i, N:W - 1]) if solvable[i] else None
+                 for i in range(m)]
+    return checks, combiners
+
+
 class Decoder:
     """Per-receiver precomputation for mass decoding of one (inst, L, delta).
 
@@ -242,13 +281,17 @@ class Decoder:
     table of two arrays: the sorted syndrome keys (the fields.product_index
     of H e, int64 or, past 2^63 keys, Python ints) and, row for row, the
     index in the shared array of each key's leader, the first pattern with
-    that key, exactly the pattern the streaming search returns.  The keys are
-    computed a block of patterns at a time.  Memory: V x N entries once,
-    plus at most V keys and V indices per receiver.  So
-    decode(view) gives the same DecodeResult as decode() on every input,
-    and raises what decode() raises: TooManyErrors when no leader matches,
-    NotAnIndexCode when the receiver has no combiner.  decode_block does
-    the same for a whole block of received words at once.
+    that key, exactly the pattern the streaming search returns.  The parity
+    checks and combiners of all receivers come from one rref_stack
+    elimination (_receiver_systems), and the keys of all receivers with
+    the same number of checks from one field.matmul of the patterns
+    against their stacked checks, a block of receivers and of patterns at
+    a time (block_rows).  Memory: V x N entries once, plus at most V keys
+    and V indices per receiver.  So decode(view) gives the same
+    DecodeResult as decode() on every input, and raises what decode()
+    raises: TooManyErrors when no leader matches, NotAnIndexCode when the
+    receiver has no combiner.  decode_block does the same for a whole
+    block of received words at once.
     """
 
     def __init__(self, inst, field, L, delta, budget=COSET_BUDGET):
@@ -263,18 +306,23 @@ class Decoder:
             raise BudgetExceeded("leader table larger than budget")
         # a leader is the first pattern of its key in this order
         self._patterns = E = sparse_vectors(q, N, delta)
-        rows = block_rows(N * N)
-        self._tables = []
-        for i in range(inst.m):
-            H = code_Ci(inst, field, self.L, i)[1]
-            keys, first = np.unique(np.concatenate(
-                [product_index(q, field.matmul(E[a:a + rows], H.T))
-                 for a in range(0, len(E), rows)]), return_index=True)
-            try:
-                comb_uv = find_combiner(inst, field, self.L, i)
-            except NotAnIndexCode:
-                comb_uv = None
-            self._tables.append((H, keys, first, comb_uv))
+        checks, combiners = _receiver_systems(inst, field, self.L)
+        # one key product for each block of receivers with the same number
+        # of checks and of patterns
+        self._tables = [None] * inst.m
+        for k in sorted(set(map(len, checks))):
+            group = [i for i, H in enumerate(checks) if len(H) == k]
+            Ht = np.stack([checks[i].T for i in group])
+            rows = min(len(E), block_rows(N * k))
+            step = block_rows(rows * N * k)
+            for a in range(0, len(group), step):
+                keys = np.concatenate(
+                    [product_index(q, field.matmul(E[b:b + rows],
+                                                   Ht[a:a + step]))
+                     for b in range(0, len(E), rows)], axis=1)
+                for i, key in zip(group[a:a + step], keys):
+                    key, first = np.unique(key, return_index=True)
+                    self._tables[i] = (checks[i], key, first, combiners[i])
 
     def _lookup(self, i, S):
         """Table rows of the syndromes S (one per row), -1 where none."""
@@ -304,8 +352,11 @@ class Decoder:
         """Receiver i's demanded symbol for each row of Y (received words),
         given side (one row per word: the values x_j for j in sorted X_i;
         None means x_j = 0 throughout, and skips stripping them).  Returns
-        int64 symbols, -1 where decode() would raise.  ValueError when Y
-        does not have N columns or side does not have |X_i|."""
+        int64 symbols, -1 where decode() would raise.  ValueError when i
+        is not a receiver, Y does not have N columns or side does not have
+        |X_i|."""
+        if not 0 <= i < self.inst.m:
+            raise ValueError(f"receiver {i} out of range")
         field = self.field
         H, _, first, comb_uv = self._tables[i]
         X_i = sorted(self.inst.X[i])

@@ -11,16 +11,20 @@ negate through q x q tables, and every extension multiplies through one.
 Each field keeps a table of inverses.
 
 Matrices and vectors are plain numpy int64 arrays of codes; every operation
-takes the Field explicitly.  This module owns the enumeration orders and
-the Hamming-ball count sphere_volume; the orders are fixed and documented
-so that searches built on top are reproducible bit for bit.  F_q^k has one
-dense order, the product order (base-q digits, the last position fastest),
-used both ways: product_rows maps indices to rows and product_index maps
-rows back to indices.  The solution sweeps of solve_affine, the
-combination_blocks of rows and span_matrix all follow it.  The
-small-support vectors of support_vectors, sparse_vectors and
-sparse_blocks are all written by fill_supports.  block_rows sizes every
-array step in the package.
+takes the Field explicitly.  One elimination underlies the linear algebra:
+rref, one broadcast step per pivot, and rref_stack, the same steps run on
+a whole stack of matrices at once; rank, kernel_basis (kernel_from_rref),
+solve_affine, solve_one and span_matrix read their answers off rref.
+
+This module owns the enumeration orders and the Hamming-ball count
+sphere_volume; the orders are fixed and documented so that searches built
+on top are reproducible bit for bit.  F_q^k has one dense order, the
+product order (base-q digits, the last position fastest), used both ways:
+product_rows maps indices to rows and product_index maps rows back to
+indices.  The solution sweeps of solve_affine, the combination_blocks of
+rows and span_matrix all follow it.  The small-support vectors of
+support_vectors, sparse_vectors and sparse_blocks are all written by
+fill_supports.  block_rows sizes every array step in the package.
 """
 
 from __future__ import annotations
@@ -344,11 +348,45 @@ def rref(field, A):
     return R, pivots
 
 
+def rref_stack(field, A):
+    """rref of every matrix of the stack A (s, rows, cols) at once.
+
+    Returns (R, pivots): R[j] and the first rank_j entries of pivots[j]
+    are rref(field, A[j]); pivots has shape (s, min(rows, cols)) with -1
+    past each rank.  Every step runs rref's step on the whole stack: a
+    member with no pivot left finds a zero "pivot" whose row is zero, and
+    the step leaves it unchanged.
+    """
+    R = np.array(A, dtype=np.int64)
+    if R.ndim != 3:
+        raise ValueError("stack must be 3-D")
+    if R.size and (R.min() < 0 or R.max() >= field.q):
+        raise ValueError(f"entries must lie in 0..{field.q - 1}")
+    s, rows, cols = R.shape
+    at = np.arange(s)
+    pivots = np.full((s, min(rows, cols)), -1, dtype=np.int64)
+    for r in range(min(rows, cols)):
+        left = R[:, r:].transpose(0, 2, 1).reshape(s, -1)
+        c, pr = np.divmod(np.argmax(left != 0, axis=1), rows - r)
+        pr += r
+        live = R[at, pr, c] != 0
+        if not live.any():
+            break
+        row = R[at, pr]
+        R[at, pr] = R[:, r]
+        R[:, r] = field.mul_arr(field.inv_arr(row[at, c])[:, None], row)
+        f = R[at, :, c]
+        f[:, r] = 0
+        R = field.sub_arr(R, field.mul_arr(f[:, :, None], R[:, r, None]))
+        pivots[live, r] = c[live]
+    return R, pivots
+
+
 def rank(field, A):
     return len(rref(field, A)[1])
 
 
-def _kernel_from_rref(field, R, pivots, cols):
+def kernel_from_rref(field, R, pivots, cols):
     """kernel_basis of a matrix whose first cols columns reduce to R."""
     free = [c for c in range(cols) if c not in pivots]
     out = np.zeros((len(free), cols), dtype=np.int64)
@@ -366,7 +404,7 @@ def kernel_basis(field, A):
     """
     A = check_matrix(field, A)
     R, pivots = rref(field, A)
-    return _kernel_from_rref(field, R, pivots, A.shape[1])
+    return kernel_from_rref(field, R, pivots, A.shape[1])
 
 
 def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
@@ -397,7 +435,7 @@ def solve_affine(field, A, b, cap=SPAN_CAP_DEFAULT):
             f"solution family of size {total} exceeds cap {cap}")
     yield x0.copy()
     # built only when a caller asks for more than the first solution
-    ker = _kernel_from_rref(field, R, pivots, cols)
+    ker = kernel_from_rref(field, R, pivots, cols)
     for t in range(1, total):
         c = product_rows(field.q, nfree, [t])
         yield field.add_arr(x0, field.matmul(c, ker)[0])

@@ -410,7 +410,10 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     decoder = _decoder_or_none(inst, field, L, delta, budget)
     n, N = L.shape
     cap = min(delta, N) if forced_weight is None else forced_weight
-    step = block_rows(N * max(n, N))
+    # a drawn trial holds about max(N, n + 3 cap) entries, a tallied one
+    # N max(n, N): draw big blocks, tally them in smaller ones
+    step = block_rows(max(N, n + 3 * cap))
+    tally = block_rows(N * max(n, N))
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
@@ -421,7 +424,8 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
         else:
             E = _draw_each(field, n, N, delta, forced_weight,
                            _trial_states(seed, a, b))
-        parts.append(_tally(inst, decoder, E))
+        parts += [_tally(inst, decoder, E[c:c + tally])
+                  for c in range(0, len(E), tally)]
     return parts
 
 

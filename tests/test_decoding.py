@@ -24,8 +24,8 @@ from indexcode.decoding import (
     transmit,
 )
 from indexcode.errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from indexcode.fields import (make_field, rank, sparse_vectors,
-                              sphere_volume, weight)
+from indexcode.fields import (make_field, product_index, rank,
+                              sparse_vectors, sphere_volume, weight)
 from indexcode.instances import make_instance, y_set
 
 from conftest import random_instance
@@ -376,6 +376,10 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
         dec.decode_block(0, np.array([1, 1, 1]), side)
     with pytest.raises(ValueError, match=r"side rows .*\(2, 1\).*2 col"):
         dec.decode_block(0, np.ones((2, 3), dtype=np.int64), side[:, :1])
+    # -1 used to decode for the last receiver, and 3 raised IndexError
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"receiver {i} out of range"):
+            dec.decode_block(i, np.ones((2, 3), dtype=np.int64), side)
     Y = np.array([[1, 1, 1], [0, 1, 0]])
     views = [make_view(k3, F2, 0, y, {1: s[0], 2: s[1]})
              for y, s in zip(Y, side)]
@@ -438,32 +442,68 @@ def test_decode_block_without_side_is_x_zero():
                         == table.decode_block(i, words, zero).tolist())
 
 
-def _decoder_tables(seed):
-    """Every receiver's keys, leaders and decode_block output on a seeded
-    block of light-error broadcasts, over seeded cases in GF(2..4)."""
-    rng = np.random.default_rng(seed)
-    out = []
+def _table_cases(rng):
+    """Seeded (field, instance, L, delta) cases in GF(2..4), then an
+    instance with X_i empty, X_i all the other messages, two receivers
+    with the same (f, X) and a zero demand row of L, and a GF(4) code
+    whose local codes have 31 and 32 parity checks, so one receiver's keys
+    are int64 and the other's, past 2^63, Python ints."""
     for q in (2, 3, 4):
         F = make_field(q)
         for _ in range(3):
             inst = random_instance(rng, 2, 4)
             N = int(rng.integers(2, 7))
-            L = rng.integers(0, q, size=(inst.n, N))
-            table = Decoder(inst, F, L, int(rng.integers(0, 3)))
-            X = rng.integers(0, q, size=(40, inst.n))
-            E = rng.integers(0, q, size=(40, N)) * (rng.random((40, N)) < 0.2)
-            Y = F.add_arr(F.matmul(X, L), E)
-            for i, (_, keys, first, _) in enumerate(table._tables):
-                side = X[:, sorted(inst.X[i])]
-                out.append((keys.tolist(), table._patterns[first].tolist(),
-                            table.decode_block(i, Y, side).tolist()))
+            yield (F, inst, rng.integers(0, q, size=(inst.n, N)),
+                   int(rng.integers(0, 3)))
+    inst = make_instance(4, (0, 1, 1, 2, 3),
+                         ({1, 2, 3}, set(), set(), {0, 1}, {0, 1, 2}))
+    L = rng.integers(0, 3, size=(4, 5))
+    L[2] = 0
+    yield make_field(3), inst, L, 1
+    inst = make_instance(2, (0, 1), ({1}, set()))
+    yield make_field(4), inst, rng.integers(1, 4, size=(2, 33)), 1
+
+
+def _decoder_tables(seed):
+    """Every receiver's keys, leaders and decode_block output on a seeded
+    block of light-error broadcasts, over the _table_cases; each
+    receiver's H, combiner, keys and leaders are checked against
+    code_Ci, find_combiner and a np.unique of its own syndrome keys."""
+    rng = np.random.default_rng(seed)
+    out, seen = [], set()
+    for F, inst, L, delta in _table_cases(rng):
+        q, N = F.q, L.shape[1]
+        table = Decoder(inst, F, L, delta)
+        X = rng.integers(0, q, size=(40, inst.n))
+        E = rng.integers(0, q, size=(40, N)) * (rng.random((40, N)) < 0.2)
+        Y = F.add_arr(F.matmul(X, L), E)
+        for i, (H, keys, first, comb) in enumerate(table._tables):
+            assert np.array_equal(H, code_Ci(inst, F, L, i)[1])
+            try:
+                u, v = find_combiner(inst, F, L, i)
+            except NotAnIndexCode:
+                assert comb is None
+                seen.add("no combiner")
+            else:
+                assert comb[0].tolist() == u.tolist()
+                assert comb[1].tolist() == v.tolist()
+            want, want_first = np.unique(product_index(
+                q, F.matmul(table._patterns, H.T)), return_index=True)
+            assert keys.dtype == want.dtype and keys.tolist() == want.tolist()
+            assert first.tolist() == want_first.tolist()
+            seen.add(keys.dtype)
+            side = X[:, sorted(inst.X[i])]
+            out.append((keys.tolist(), table._patterns[first].tolist(),
+                        table.decode_block(i, Y, side).tolist()))
+    assert seen == {"no combiner", np.dtype(np.int64), np.dtype(object)}
     return out
 
 
 @pytest.mark.parametrize("cells", [1, 50, fields.BLOCK_CELLS])
 def test_decoder_blocks_keep_the_tables(monkeypatch, cells):
-    """Keys computed a few patterns at a time give the tables and block
-    decodes of a build that keys every pattern in one block."""
+    """Receivers eliminated and keyed a few at a time, and keys computed a
+    few patterns at a time, give the tables and block decodes of a build
+    that does each in one stack."""
     monkeypatch.setattr(fields, "BLOCK_CELLS", 1 << 40)
     whole = _decoder_tables(43)
     assert any(x >= 0 for *_, xs in whole for x in xs)

@@ -25,6 +25,7 @@ from indexcode.fields import (
     product_rows,
     rank,
     rref,
+    rref_stack,
     solve_affine,
     solve_one,
     span_matrix,
@@ -299,6 +300,41 @@ def test_rref_canonical_and_idempotent():
                 col = R[:, c].copy()
                 col[r] = 0
                 assert not col.any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9])
+def test_rref_stack_is_rref_on_every_member(q):
+    """Seeded stacks of tall, wide and square matrices, each with an
+    all-zero and a full-rank member, and stacks of one: every member's R
+    and pivot list are rref's, the pivots padded with -1."""
+    F = make_field(q)
+    rng = np.random.default_rng(400 + q)
+    for s, rows, cols in [(6, 5, 3), (6, 3, 7), (5, 4, 4), (4, 1, 5),
+                          (4, 6, 1), (1, 4, 6), (1, 3, 3)]:
+        for _ in range(4):
+            A = rng.integers(0, q, size=(s, rows, cols)) * (
+                rng.random((s, rows, cols)) < rng.random())
+            if s > 1:
+                # a zero member, and a full-rank one: min(rows, cols)
+                # nonzero entries in distinct rows and columns
+                k = min(rows, cols)
+                A[0] = 0
+                A[1] = 0
+                A[1, rng.permutation(rows)[:k], rng.permutation(cols)[:k]] \
+                    = rng.integers(1, q, size=k)
+            R, piv = rref_stack(F, A)
+            assert R.shape == A.shape and R.dtype == np.int64
+            assert piv.shape == (s, min(rows, cols))
+            for j in range(s):
+                Rj, pj = rref(F, A[j])
+                assert np.array_equal(R[j], Rj)
+                assert piv[j].tolist() == pj + [-1] * (piv.shape[1] - len(pj))
+            if s > 1:
+                assert (piv[0] == -1).all() and (piv[1] >= 0).all()
+    with pytest.raises(ValueError, match="entries must lie"):
+        rref_stack(F, np.full((1, 2, 2), q))
+    with pytest.raises(ValueError, match="3-D"):
+        rref_stack(F, np.zeros((2, 2)))
 
 
 def test_solve_affine_two_variable_parity():

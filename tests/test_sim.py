@@ -11,7 +11,7 @@ from indexcode.codes import construct_lift, verify
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import (block_rows, make_field, sparse_vectors,
                               sphere_volume, weight)
-from indexcode.instances import odd_cycle_instance
+from indexcode.instances import make_instance, odd_cycle_instance
 from indexcode.sim import (
     CampaignStats,
     draw_error,
@@ -419,6 +419,27 @@ def test_campaign_small_blocks_match_oracle(trials):
     L = rng.integers(0, 3, size=(inst.n, 4))
     st = trial_campaign(inst, F3, L, 1, trials, seed=2**65 + 1)
     assert _stats(st) == _oracle_campaign(inst, F3, L, 1, trials, 2**65 + 1)
+
+
+def test_long_code_campaign_draws_in_blocks(monkeypatch):
+    # at N = 300 a tally block holds one trial, yet the 64 trials are
+    # drawn in one block, not a Generator at a time, and give the oracle
+    F2, N = make_field(2), 300
+    inst = make_instance(3, (0, 1, 2), ({1, 2}, {0, 2}, {0, 1}))
+    L = np.random.default_rng(90).integers(0, 2, size=(3, N))
+    L[2] = 0                             # receiver 2 has no combiner
+    assert block_rows(N * N) == 1
+    blocks, draw_block = [], sim._draw_block
+
+    def counting(field, n, N, delta, forced, seed, start, stop):
+        blocks.append((start, stop))
+        return draw_block(field, n, N, delta, forced, seed, start, stop)
+
+    monkeypatch.setattr(sim, "_draw_block", counting)
+    st = trial_campaign(inst, F2, L, 1, 64, seed=4)
+    assert blocks == [(0, 64)]
+    assert _stats(st) == _oracle_campaign(inst, F2, L, 1, 64, 4)
+    assert st.failures == (0, 0, 64) and st.max_weight == 1
 
 
 def test_campaign_workers_match_oracle_gf4():
