@@ -287,7 +287,8 @@ class Decoder:
     the same number of checks from one field.matmul of the patterns
     against their stacked checks, a block of receivers and of patterns at
     a time (block_rows).  Memory: V x N entries once, plus at most V keys
-    and V indices per receiver.  So decode(view) gives the same
+    and V indices per receiver.  The tables are read-only, and decode
+    returns copies of them.  So decode(view) gives the same
     DecodeResult as decode() on every input, and raises what decode()
     raises: TooManyErrors when no leader matches, NotAnIndexCode when the
     receiver has no combiner.  decode_block does the same for a whole
@@ -323,6 +324,11 @@ class Decoder:
                 for i, key in zip(group[a:a + step], keys):
                     key, first = np.unique(key, return_index=True)
                     self._tables[i] = (checks[i], key, first, combiners[i])
+        # decode hands out copies: no caller can change a table
+        E.setflags(write=False)
+        for H, key, first, comb_uv in self._tables:
+            for A in (H, key, first, *(comb_uv or ())):
+                A.setflags(write=False)
 
     def _lookup(self, i, S):
         """Table rows of the syndromes S (one per row), -1 where none."""
@@ -344,7 +350,7 @@ class Decoder:
         x_hat = recover(self.inst, self.field, self.L, view, e_hat,
                         combiner=comb_uv)
         return DecodeResult(x_hat=int(x_hat), e_hat=e_hat, syndrome=beta,
-                            combiner=comb_uv[0],
+                            combiner=comb_uv[0].copy(),
                             weight_searched=weight(e_hat), cost=0,
                             method="table")
 

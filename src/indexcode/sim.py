@@ -8,7 +8,10 @@ from x L + e is x_f(i) + (e - l(He)) u: its parity check H kills L_f(i)
 and L[Y_i], l(He) is the leader, and the combiner u has L u = v + e_f(i)
 with v on X_i; a missing leader or combiner fails every x.  So campaigns
 decode each error as the broadcast of x = 0, and exhaustive mode scales
-one pass over the errors by the q^n message vectors.
+one pass over the errors by the q^n message vectors.  A random block of
+trials repeats its errors (within radius delta it holds at most
+sphere_volume(q, N, delta) distinct ones), so each distinct error of a
+drawn block is decoded once and counted by its multiplicity.
 
 Trial t of a campaign draws from the stream of
 ``np.random.default_rng((seed, t))``, so campaigns reproduce bit for bit
@@ -50,8 +53,8 @@ import numpy as np
 from .decoding import (COSET_BUDGET, Decoder, check_broadcast, decode,
                        make_view)
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (block_rows, check_matrix, make_field, sparse_blocks,
-                     sphere_volume)
+from .fields import (block_rows, check_matrix, make_field, product_index,
+                     sparse_blocks, sphere_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +139,24 @@ def draw_error(rng, field, N, delta, forced_weight=None):
     return e
 
 
-def _tally(inst, decoder, E):
+def _tally(inst, decoder, E, counts=None):
     """Decode errors E (one per row) as broadcasts of x = 0 at every
-    receiver: (cases, successes, per-receiver failures, max weight).
-    decoder None means no table fits the budget: every receiver fails."""
-    T = len(E)
+    receiver: (cases, successes, per-receiver failures, max weight), row r
+    counted counts[r] times (once without counts).  decoder None means no
+    table fits the budget: every receiver fails."""
+    if counts is None:
+        counts = np.ones(len(E), dtype=np.int64)
+    T = int(counts.sum())
     failures = np.zeros(inst.m, dtype=np.int64)
-    everyone = np.ones(T, dtype=bool)
+    everyone = np.ones(len(E), dtype=bool)
     for i in range(inst.m):
         if decoder is None:
-            right = np.zeros(T, dtype=bool)
+            right = np.zeros(len(E), dtype=bool)
         else:
             right = decoder.decode_block(i, E) == 0
-        failures[i] = T - np.count_nonzero(right)
+        failures[i] = T - counts[right].sum()
         everyone &= right
-    return (T, int(np.count_nonzero(everyone)), failures,
+    return (T, int(counts[everyone].sum()), failures,
             int(np.count_nonzero(E, axis=1).max(initial=0)))
 
 
@@ -421,10 +427,17 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
         # trials drawn one at a time, whatever the block's size
         if b - a > 2 * (cap + 3):
             E = _draw_block(field, n, N, delta, forced_weight, seed, a, b)
+            # at most sphere_volume(q, N, cap) errors are possible, so a
+            # block repeats them: decode each distinct one once and count
+            # it by its multiplicity
+            _, first, inv = np.unique(product_index(q, E), return_index=True,
+                                      return_inverse=True)
+            E, counts = E[first], np.bincount(inv)
         else:
             E = _draw_each(field, n, N, delta, forced_weight,
                            _trial_states(seed, a, b))
-        parts += [_tally(inst, decoder, E[c:c + tally])
+            counts = np.ones(len(E), dtype=np.int64)
+        parts += [_tally(inst, decoder, E[c:c + tally], counts[c:c + tally])
                   for c in range(0, len(E), tally)]
     return parts
 
@@ -455,10 +468,11 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     error, and exhaustive mode enumerates the errors once, scaling the
     counts by q^n.
     Each receiver decodes a block of errors at a time with its Decoder
-    table and matches simulate_once on every case.  A receiver with no
-    combiner (NotAnIndexCode) fails every case; when the leader table
-    exceeds budget, every receiver fails every case, as the streaming
-    decodes would.
+    table and matches simulate_once on every case; in random mode a
+    drawn block's distinct errors are decoded once each and counted by
+    multiplicity.  A receiver with no combiner (NotAnIndexCode) fails
+    every case; when the leader table exceeds budget, every receiver fails
+    every case, as the streaming decodes would.
 
     budget caps the error patterns a leader table may hold and, in
     exhaustive mode, the sphere_volume(q, N, delta or forced_weight) error

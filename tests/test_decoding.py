@@ -529,6 +529,24 @@ def test_decoder_leader_is_the_first_pattern_of_its_syndrome(F3):
                 assert firsts[tuple(F3.matvec(H, patterns[at]))] == at
 
 
+def test_decoder_hands_out_copies_of_its_tables(F2, k3, k3_L):
+    # writing to a returned combiner changes no later decode, and the
+    # table's own arrays refuse writes
+    table = Decoder(k3, F2, k3_L, 1)
+    view = transmit(k3, F2, k3_L, [1, 0, 1], [0, 0, 0, 0], 0)
+    res = table.decode(view)
+    assert res.x_hat == 1
+    res.combiner[:] = 0
+    assert table.decode(view).x_hat == 1
+    assert table.decode_block(0, [view.y], [[0, 1]]).tolist() == [1]
+    arrays = [table._patterns]
+    for H, keys, first, (u, v) in table._tables:
+        arrays += [H, keys, first, u, v]
+    for A in arrays:
+        with pytest.raises(ValueError):
+            A[...] = 0
+
+
 # ---------------------------------------------------------------------------
 # received-word files
 # ---------------------------------------------------------------------------

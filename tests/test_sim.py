@@ -442,6 +442,48 @@ def test_long_code_campaign_draws_in_blocks(monkeypatch):
     assert st.failures == (0, 0, 64) and st.max_weight == 1
 
 
+def test_campaign_tallies_each_distinct_error_once(monkeypatch):
+    # draw blocks of 45 (radius 1) or 30 (weight 2) trials over F_2^4:
+    # each holds at most 5 or 6 distinct errors, decoded once each and
+    # counted by multiplicity; receiver 2 has no combiner
+    F2 = make_field(2)
+    inst = make_instance(3, (0, 1, 2), ({1, 2}, {0, 2}, {0, 1}))
+    L = np.random.default_rng(91).integers(0, 2, size=(3, 4))
+    L[2] = 0
+    monkeypatch.setattr(fields, "BLOCK_CELLS", 30 * 9)
+    tallies, tally = [], sim._tally
+
+    def counting(inst, decoder, E, counts=None):
+        tallies.append((len(E), int(counts.sum())))
+        return tally(inst, decoder, E, counts)
+
+    monkeypatch.setattr(sim, "_tally", counting)
+    for forced, distinct, blocks in ((None, 5, 5), (2, 6, 7)):
+        tallies.clear()
+        st = trial_campaign(inst, F2, L, 1, 200, seed=6,
+                            forced_weight=forced)
+        assert _stats(st) == _oracle_campaign(inst, F2, L, 1, 200, 6, forced)
+        assert st.failures[2] == 200 and st.successes == 0
+        assert sum(c for _, c in tallies) == 200
+        assert all(rows <= distinct for rows, _ in tallies)
+        assert len(tallies) == blocks
+
+
+def test_campaign_python_int_keys_match_oracle():
+    # F_2^64 has more rows than an int64 key holds: the block's errors are
+    # keyed by Python ints, in one process or two
+    F2, N = make_field(2), 64
+    assert fields.product_index(2, np.zeros((1, N))).dtype == object
+    inst = make_instance(3, (0, 1, 2), ({1, 2}, {0, 2}, {0, 1}))
+    L = np.random.default_rng(92).integers(0, 2, size=(3, N))
+    for forced in (None, 2):
+        one = trial_campaign(inst, F2, L, 1, 40, seed=8, forced_weight=forced)
+        two = trial_campaign(inst, F2, L, 1, 40, seed=8, forced_weight=forced,
+                             workers=2)
+        assert one == two
+        assert _stats(one) == _oracle_campaign(inst, F2, L, 1, 40, 8, forced)
+
+
 def test_campaign_workers_match_oracle_gf4():
     F4 = make_field(4)
     rng = np.random.default_rng(80)
@@ -473,7 +515,8 @@ def _per_trial_errors(field, n, N, delta, forced, seed, ts):
 def test_block_draw_is_default_rng(q):
     # every length 1..60 at some radius, weights forced to 0, 1, N and
     # just past the radius, delta 0 (no weight word), seeds past 2**64;
-    # two blocks that meet at a campaign block boundary
+    # two blocks that meet at block_rows(N * max(n, N)), a campaign's
+    # tally step: a draw does not depend on where its block starts
     field = make_field(q)
     for N in list(range(1, 13)) + [17, 23, 31, 42, 59, 60]:
         n = 1 + N % 5
