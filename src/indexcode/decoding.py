@@ -9,12 +9,14 @@ off through a fixed combining vector.
 
 The combiner comes from solving L u = v + e_f(i) with v supported on the
 receiver's side information; it depends only on (L, i), so the Decoder class
-precomputes it, with a leader table over one shared array of error
-patterns, for fast repeated decoding, one view or a whole block of received
-words at a time.  It builds those tables for all receivers at once: one
-stacked elimination (fields.rref_stack) gives every parity check and
-combiner, and one stacked product per number of checks every syndrome
-key; code_Ci and find_combiner remain the one-receiver definitions.
+precomputes it, with one leader table for all receivers over one shared
+array of error patterns, for fast repeated decoding: one view, a block of
+received words at one receiver, or a block at every receiver in one
+lookup.  It builds everything for all receivers at once: one stacked
+elimination (fields.rref_stack) gives every parity check and combiner, and
+the lookup's own key step every receiver's syndrome keys; code_Ci and
+find_combiner remain the one-receiver definitions.  Every view a decoder
+takes is checked as make_view checks it.
 Up to delta errors, the recovered symbol is exact whenever L verifies at
 delta, even though the error estimate itself may differ from the true error
 by something the receiver cannot, and need not, distinguish.
@@ -45,19 +47,28 @@ class ReceiverView:
 
 def make_view(inst, field, i, y, side):
     """Validate and freeze a receiver's view; side maps X_i to values."""
-    if not 0 <= i < inst.m:
-        raise ValueError(f"receiver {i} out of range")
-    y = np.asarray(y, dtype=np.int64)
-    if y.min(initial=0) < 0 or y.max(initial=0) >= field.q:
+    view = ReceiverView(
+        i=i, y=tuple(int(v) for v in np.asarray(y, dtype=np.int64)),
+        side=tuple(sorted((int(k), int(v)) for k, v in dict(side).items())))
+    _check_view(inst, field, view)
+    return view
+
+
+def _check_view(inst, field, view, N=None):
+    """ValueError unless view is one make_view returns: receiver i in
+    range, entries in the field, side indices exactly sorted X_i; and,
+    given N, a received word of N symbols."""
+    if not 0 <= view.i < inst.m:
+        raise ValueError(f"receiver {view.i} out of range")
+    if N is not None and len(view.y) != N:
+        raise ValueError(f"received word has {len(view.y)} symbols, the code "
+                         f"has length {N}")
+    if min(view.y, default=0) < 0 or max(view.y, default=0) >= field.q:
         raise ValueError("received word entries out of range")
-    side = dict(side)
-    if set(side) != set(inst.X[i]):
+    if [j for j, _ in view.side] != sorted(inst.X[view.i]):
         raise ValueError("side information must cover exactly X_i")
-    if any(not 0 <= v < field.q for v in side.values()):
+    if any(not 0 <= v < field.q for _, v in view.side):
         raise ValueError("side values out of range")
-    return ReceiverView(i=i, y=tuple(int(v) for v in y),
-                        side=tuple(sorted((int(k), int(v))
-                                          for k, v in side.items())))
 
 
 def check_broadcast(inst, field, L, x, error):
@@ -102,12 +113,10 @@ def code_Ci(inst, field, L, i):
 
 
 def _strip(inst, field, L, view):
-    """The received word less the side information's part of x L."""
-    y = np.asarray(view.y, dtype=np.int64)
-    if len(y) != L.shape[1]:
-        raise ValueError(f"received word has {len(y)} symbols, the code "
-                         f"has length {L.shape[1]}")
-    out = y
+    """The received word less the side information's part of x L;
+    ValueError for a view make_view would refuse or of the wrong length."""
+    _check_view(inst, field, view, L.shape[1])
+    out = np.asarray(view.y, dtype=np.int64)
     for j, v in view.side:
         if v:
             out = field.sub_arr(out, field.mul_arr(v, L[j]))
@@ -203,10 +212,10 @@ def recover_by_elimination(inst, field, L, view, e_hat):
     part, and read off the demanded coordinate of the first solution.
     """
     L = check_matrix(field, L)
-    i = view.i
-    unknown = [j for j in range(inst.n) if j not in inst.X[i]]
     rhs = field.sub_arr(_strip(inst, field, L, view),
                         np.asarray(e_hat, dtype=np.int64))
+    i = view.i
+    unknown = [j for j in range(inst.n) if j not in inst.X[i]]
     sol = solve_one(field, L[unknown].T, rhs)
     if sol is None:
         raise TooManyErrors(
@@ -220,8 +229,9 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
     if delta < 0:
         raise ValueError("delta must be >= 0")
     L = check_matrix(field, L)
+    stripped = _strip(inst, field, L, view)      # checks the view first
     gen, H = code_Ci(inst, field, L, view.i)
-    beta = syndrome(inst, field, L, H, view)
+    beta = field.matvec(H, stripped)
     e_hat, cost = min_weight_coset_solution(field, H, beta, delta, budget)
     if recovery == "combiner":
         u, v = find_combiner(inst, field, L, view.i)
@@ -238,13 +248,15 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
 
 def _receiver_systems(inst, field, L):
     """Every receiver's parity check, code_Ci(inst, field, L, i)[1], and
-    combiner, find_combiner's (u, v) or None where it raises, from one
-    rref_stack over 2m matrices of width N + n + 1 (in block_rows stacks):
-    L with the X_i rows zeroed, which spans receiver i's local code, so its
-    rref and kernel are code_Ci's; and [L | -D_i | e_f(i)], D_i the 0/1
-    diagonal of X_i, find_combiner's system with a zero column for each
-    message outside X_i.  Zero columns never pivot, so the
-    free-variables-zero solution is solve_one's."""
+    combiner, find_combiner's u, from one rref_stack over 2m matrices of
+    width N + n + 1 (in block_rows stacks): L with the X_i rows zeroed,
+    which spans receiver i's local code, so its rref and kernel are
+    code_Ci's; and [L | -D_i | e_f(i)], D_i the 0/1 diagonal of X_i,
+    find_combiner's system with a zero column for each message outside
+    X_i.  Zero columns never pivot, so the free-variables-zero solution is
+    solve_one's.  Returns (checks, U, solvable): U has one row per
+    receiver, zero where find_combiner raises, and solvable marks the
+    others."""
     m, (n, N) = inst.m, L.shape
     W = N + n + 1
     own = np.zeros((m, n, 1), dtype=np.int64)
@@ -267,32 +279,59 @@ def _receiver_systems(inst, field, L):
     x[np.arange(m)[:, None], np.where(pivots >= 0, pivots, W - 1)] = \
         R[:, :n, W - 1]
     solvable = (pivots != W - 1).all(axis=1)
-    combiners = [(x[i, :N], x[i, N:W - 1]) if solvable[i] else None
-                 for i in range(m)]
-    return checks, combiners
+    return checks, x[:, :N] * solvable[:, None], solvable
+
+
+def _block(name, A, width, q):
+    """A as a 2-D int64 array of `width` columns with entries in 0..q-1;
+    ValueError otherwise."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2 or A.shape[1] != width:
+        raise ValueError(f"{name} have shape {A.shape}, need {width} columns")
+    if A.min(initial=0) < 0 or A.max(initial=0) >= q:
+        raise ValueError(f"{name} have entries outside 0..{q - 1}")
+    return A
 
 
 class Decoder:
-    """Per-receiver precomputation for mass decoding of one (inst, L, delta).
+    """One leader table for mass decoding of one (inst, L, delta) at every
+    receiver.
 
     Every receiver reads one shared array, the V = sphere_volume(q, N,
     delta) patterns of sparse_vectors(q, N, delta), whose size budget caps.
-    Each receiver gets its parity check H, its combiner (u, v) and a leader
-    table of two arrays: the sorted syndrome keys (the fields.product_index
-    of H e, int64 or, past 2^63 keys, Python ints) and, row for row, the
-    index in the shared array of each key's leader, the first pattern with
-    that key, exactly the pattern the streaming search returns.  The parity
-    checks and combiners of all receivers come from one rref_stack
-    elimination (_receiver_systems), and the keys of all receivers with
-    the same number of checks from one field.matmul of the patterns
-    against their stacked checks, a block of receivers and of patterns at
-    a time (block_rows).  Memory: V x N entries once, plus at most V keys
-    and V indices per receiver.  The tables are read-only, and decode
-    returns copies of them.  So decode(view) gives the same
-    DecodeResult as decode() on every input, and raises what decode()
-    raises: TooManyErrors when no leader matches, NotAnIndexCode when the
-    receiver has no combiner.  decode_block does the same for a whole
-    block of received words at once.
+    The parity checks H and combiners u of all receivers come from one
+    rref_stack elimination (_receiver_systems).  Receiver i's key of a
+    pattern e is the fields.product_index of H e plus the offset i Q, where
+    Q = q^kmax and kmax is the largest number of checks of any receiver, so
+    no two receivers share a key.  Keys are int64 while m Q <= 2^63 and
+    Python ints past that.  One table serves every receiver: the distinct
+    keys, sorted, and row for row the index in the shared array of each
+    key's leader, the first pattern with that key, exactly the pattern the
+    streaming search returns, and the leader's share l u of the demanded
+    symbol.  The build runs the lookup's own key step on a block of
+    patterns at a time (block_rows) and takes one np.unique of all m V
+    keys.
+
+    A lookup decodes a block of words at a run of receivers at once.  The
+    checks stand side by side, each receiver's padded to kmax with leading
+    zero rows, so one field.matmul gives every syndrome and one
+    product_index every key; then one searchsorted over the table, one
+    gather of the leaders' shares and one product with the combiners.
+    With the side information stripped from y, the demanded symbol is
+    y u - l u.  decode_all runs the lookup for every receiver, and
+    decode_block and decode for one.  word_cells is the number of entries
+    per word in decode_all's largest intermediate: (T, m kmax) syndromes
+    or the (T, N) words over a prime field, and the (T, N, m kmax)
+    products that an extension field's matmul forms first; callers size
+    decode_all's blocks with block_rows(word_cells).
+
+    Memory: V x N entries once, plus at most m V keys, leader indices and
+    shares, and m V keys and m V shares while building.  The arrays are
+    read-only, and decode returns copies of them.  So decode(view) gives
+    the same DecodeResult as decode() on every input, and raises what
+    decode() raises: TooManyErrors when no leader matches, NotAnIndexCode
+    when the receiver has no combiner, ValueError for a view make_view
+    would refuse.
     """
 
     def __init__(self, inst, field, L, delta, budget=COSET_BUDGET):
@@ -302,55 +341,91 @@ class Decoder:
         self.field = field
         self.L = check_matrix(field, L)
         self.delta = delta
-        q, N = field.q, self.L.shape[1]
-        if sphere_volume(q, N, delta) > budget:
+        m, q, N = inst.m, field.q, self.L.shape[1]
+        V = sphere_volume(q, N, delta)
+        if V > budget:
             raise BudgetExceeded("leader table larger than budget")
         # a leader is the first pattern of its key in this order
         self._patterns = E = sparse_vectors(q, N, delta)
-        checks, combiners = _receiver_systems(inst, field, self.L)
-        # one key product for each block of receivers with the same number
-        # of checks and of patterns
-        self._tables = [None] * inst.m
-        for k in sorted(set(map(len, checks))):
-            group = [i for i, H in enumerate(checks) if len(H) == k]
-            Ht = np.stack([checks[i].T for i in group])
-            rows = min(len(E), block_rows(N * k))
-            step = block_rows(rows * N * k)
-            for a in range(0, len(group), step):
-                keys = np.concatenate(
-                    [product_index(q, field.matmul(E[b:b + rows],
-                                                   Ht[a:a + step]))
-                     for b in range(0, len(E), rows)], axis=1)
-                for i, key in zip(group[a:a + step], keys):
-                    key, first = np.unique(key, return_index=True)
-                    self._tables[i] = (checks[i], key, first, combiners[i])
+        checks, self._U, self._has_combiner = _receiver_systems(
+            inst, field, self.L)
+        # receiver i's k_i checks are the last columns of the i-th kmax
+        # columns of _checks; the zero columns before them give leading
+        # zero syndrome digits, which leave its product_index unchanged
+        self._k = np.array([len(H) for H in checks])
+        self._kmax = kmax = int(self._k.max())
+        self._checks = np.zeros((N, m, kmax), dtype=np.int64)
+        for i, H in enumerate(checks):
+            self._checks[:, i, kmax - len(H):] = H.T
+        self._checks = self._checks.reshape(N, m * kmax)
+        Q = q ** kmax
+        self._offset = np.array([i * Q for i in range(m)],
+                                dtype=np.int64 if m * Q <= 2 ** 63 else object)
+        cells = m * max(1, kmax)
+        self.word_cells = N * cells if field.e > 1 else max(N, cells)
+        rows = block_rows(self.word_cells)
+        keys = np.empty((m, V), dtype=self._offset.dtype)
+        for b in range(0, V, rows):
+            keys[:, b:b + rows] = self._keys(slice(0, m), E[b:b + rows]).T
+        # keys run receiver by receiver, so a key's first occurrence names
+        # its receiver and its leader
+        self._table, first = np.unique(keys.ravel(), return_index=True)
+        owner, self._leaders = np.divmod(first, V)
+        shares = np.concatenate([field.matmul(E[b:b + rows], self._U.T)
+                                 for b in range(0, V, rows)])
+        self._shares = shares[self._leaders, owner]
         # decode hands out copies: no caller can change a table
-        E.setflags(write=False)
-        for H, key, first, comb_uv in self._tables:
-            for A in (H, key, first, *(comb_uv or ())):
-                A.setflags(write=False)
+        for A in (self.L, E, self._U, self._has_combiner, self._k,
+                  self._checks, self._offset, self._table, self._leaders,
+                  self._shares):
+            A.setflags(write=False)
 
-    def _lookup(self, i, S):
-        """Table rows of the syndromes S (one per row), -1 where none."""
-        keys = self._tables[i][1]
-        k = product_index(self.field.q, S)
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        return np.where(keys[pos] == k, pos, -1)
+    def _keys(self, r, W):
+        """The keys of the words W (T, N) at the receivers of the slice r:
+        (T, r.stop - r.start)."""
+        kmax = self._kmax
+        S = self.field.matmul(W, self._checks[:, r.start * kmax:
+                                              r.stop * kmax])
+        own = product_index(self.field.q,
+                            S.reshape(len(W), r.stop - r.start, kmax))
+        # cast before the offset: the receivers' own keys may be int64
+        # where the offset ones are not
+        return own.astype(self._offset.dtype, copy=False) + self._offset[r]
+
+    def _check(self, i):
+        """Receiver i's parity check H, code_Ci's."""
+        end = (i + 1) * self._kmax
+        return self._checks[:, end - self._k[i]:end].T
+
+    def _lookup(self, r, W):
+        """Table rows and demanded symbols at the receivers of the slice r
+        for the words W (T, N), side information stripped: two (T,
+        r.stop - r.start) int64 arrays, -1 where no key matches (rows) and
+        where decode() would raise (symbols)."""
+        keys = self._keys(r, W)
+        table = self._table
+        pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        found = table[pos] == keys
+        symbols = self.field.sub_arr(self.field.matmul(W, self._U[r].T),
+                                     self._shares[pos])
+        return (np.where(found, pos, -1),
+                np.where(found & self._has_combiner[r], symbols, -1))
 
     def decode(self, view):
-        H, _, first, comb_uv = self._tables[view.i]
-        beta = syndrome(self.inst, self.field, self.L, H, view)
-        pos = int(self._lookup(view.i, beta[None, :])[0])
-        if pos < 0:
+        stripped = _strip(self.inst, self.field, self.L, view)
+        i = view.i
+        rows, symbols = self._lookup(slice(i, i + 1), stripped[None, :])
+        if rows[0, 0] < 0:
             raise TooManyErrors(
                 f"no error pattern of weight <= {self.delta} matches")
-        e_hat = self._patterns[first[pos]].copy()
-        # without a combiner recover() looks for one and raises
-        # NotAnIndexCode, as decode() does
-        x_hat = recover(self.inst, self.field, self.L, view, e_hat,
-                        combiner=comb_uv)
-        return DecodeResult(x_hat=int(x_hat), e_hat=e_hat, syndrome=beta,
-                            combiner=comb_uv[0].copy(),
+        if not self._has_combiner[i]:
+            raise NotAnIndexCode(
+                f"receiver {i} cannot express its demand from the broadcast")
+        e_hat = self._patterns[self._leaders[rows[0, 0]]].copy()
+        return DecodeResult(x_hat=int(symbols[0, 0]), e_hat=e_hat,
+                            syndrome=self.field.matvec(self._check(i),
+                                                       stripped),
+                            combiner=self._U[i].copy(),
                             weight_searched=weight(e_hat), cost=0,
                             method="table")
 
@@ -359,36 +434,29 @@ class Decoder:
         given side (one row per word: the values x_j for j in sorted X_i;
         None means x_j = 0 throughout, and skips stripping them).  Returns
         int64 symbols, -1 where decode() would raise.  ValueError when i
-        is not a receiver, Y does not have N columns or side does not have
-        |X_i|."""
+        is not a receiver, Y or side does not have N or |X_i| columns or
+        has an entry outside the field, or side has not one row per
+        word."""
         if not 0 <= i < self.inst.m:
             raise ValueError(f"receiver {i} out of range")
         field = self.field
-        H, _, first, comb_uv = self._tables[i]
-        X_i = sorted(self.inst.X[i])
-        Y = np.asarray(Y, dtype=np.int64)
-        checks = [("received words", Y, self.L.shape[1])]
+        Y = _block("received words", Y, self.L.shape[1], field.q)
         if side is not None:
-            side = np.asarray(side, dtype=np.int64)
-            checks.append(("side rows", side, len(X_i)))
-        for name, A, width in checks:
-            if A.ndim != 2 or A.shape[1] != width:
-                raise ValueError(f"{name} have shape {A.shape}, need "
-                                 f"{width} columns")
-        out = np.full(len(Y), -1, dtype=np.int64)
-        if comb_uv is None:
-            return out
-        u, v = comb_uv
-        stripped = Y if side is None else field.sub_arr(
-            Y, field.matmul(side, self.L[X_i]))
-        pos = self._lookup(i, field.matmul(stripped, H.T))
-        hit = pos >= 0
-        corrected = field.sub_arr(Y[hit], self._patterns[first[pos[hit]]])
-        symbols = field.matvec(corrected, u)
-        if side is not None:
-            symbols = field.sub_arr(symbols, field.matvec(side[hit], v[X_i]))
-        out[hit] = symbols
-        return out
+            X_i = sorted(self.inst.X[i])
+            side = _block("side rows", side, len(X_i), field.q)
+            if len(side) != len(Y):
+                raise ValueError(f"{len(side)} side rows for {len(Y)} "
+                                 f"received words")
+            Y = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
+        return self._lookup(slice(i, i + 1), Y)[1][:, 0]
+
+    def decode_all(self, Y):
+        """Every receiver's demanded symbol for each row of Y, the words
+        taken with x_j = 0 on X_i: (T, m) int64, column i equal to
+        decode_block(i, Y).  Callers cut Y into blocks of
+        block_rows(word_cells) rows."""
+        Y = _block("received words", Y, self.L.shape[1], self.field.q)
+        return self._lookup(slice(0, self.inst.m), Y)[1]
 
 
 # ---------------------------------------------------------------------------

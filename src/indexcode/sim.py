@@ -11,7 +11,9 @@ decode each error as the broadcast of x = 0, and exhaustive mode scales
 one pass over the errors by the q^n message vectors.  A random block of
 trials repeats its errors (within radius delta it holds at most
 sphere_volume(q, N, delta) distinct ones), so each distinct error of a
-drawn block is decoded once and counted by its multiplicity.
+drawn block is decoded once and counted by its multiplicity.  Every
+receiver decodes a block of errors in the same lookup of one leader table
+(Decoder.decode_all).
 
 Trial t of a campaign draws from the stream of
 ``np.random.default_rng((seed, t))``, so campaigns reproduce bit for bit
@@ -141,23 +143,23 @@ def draw_error(rng, field, N, delta, forced_weight=None):
 
 def _tally(inst, decoder, E, counts=None):
     """Decode errors E (one per row) as broadcasts of x = 0 at every
-    receiver: (cases, successes, per-receiver failures, max weight), row r
-    counted counts[r] times (once without counts).  decoder None means no
-    table fits the budget: every receiver fails."""
+    receiver, in one Decoder.decode_all lookup: (cases, successes,
+    per-receiver failures, max weight), row r counted counts[r] times
+    (once without counts).  decoder None means no table fits the budget:
+    every receiver fails."""
     if counts is None:
         counts = np.ones(len(E), dtype=np.int64)
+    right = (np.zeros((len(E), inst.m), dtype=bool) if decoder is None
+             else decoder.decode_all(E) == 0)
     T = int(counts.sum())
-    failures = np.zeros(inst.m, dtype=np.int64)
-    everyone = np.ones(len(E), dtype=bool)
-    for i in range(inst.m):
-        if decoder is None:
-            right = np.zeros(len(E), dtype=bool)
-        else:
-            right = decoder.decode_block(i, E) == 0
-        failures[i] = T - counts[right].sum()
-        everyone &= right
-    return (T, int(counts[everyone].sum()), failures,
+    return (T, int(counts[right.all(axis=1)].sum()), T - counts @ right,
             int(np.count_nonzero(E, axis=1).max(initial=0)))
+
+
+def _tally_rows(decoder, N):
+    """Rows per _tally block: decode_all's largest intermediate holds
+    word_cells entries a row."""
+    return block_rows(N if decoder is None else decoder.word_cells)
 
 
 def _merge(parts, mode, seed=None, scale=1):
@@ -417,9 +419,9 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
     n, N = L.shape
     cap = min(delta, N) if forced_weight is None else forced_weight
     # a drawn trial holds about max(N, n + 3 cap) entries, a tallied one
-    # N max(n, N): draw big blocks, tally them in smaller ones
+    # word_cells: draw big blocks, tally them in smaller ones
     step = block_rows(max(N, n + 3 * cap))
-    tally = block_rows(N * max(n, N))
+    tally = _tally_rows(decoder, N)
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
@@ -467,12 +469,15 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     skip the words x takes from each trial's stream and decode only the
     error, and exhaustive mode enumerates the errors once, scaling the
     counts by q^n.
-    Each receiver decodes a block of errors at a time with its Decoder
-    table and matches simulate_once on every case; in random mode a
-    drawn block's distinct errors are decoded once each and counted by
-    multiplicity.  A receiver with no combiner (NotAnIndexCode) fails
-    every case; when the leader table exceeds budget, every receiver fails
-    every case, as the streaming decodes would.
+    Every receiver decodes a block of errors at once, in one lookup of
+    the Decoder's leader table (Decoder.decode_all), and matches
+    simulate_once on every case; in random mode a drawn block's distinct
+    errors are decoded once each and counted by multiplicity.  A receiver
+    with no combiner (NotAnIndexCode) fails every case; when the leader
+    table exceeds budget, every receiver fails every case, as the
+    streaming decodes would.  workers (at least 1, ValueError otherwise,
+    checked before a Decoder is built) splits the random trials into that
+    many chunks, run by at most that many processes.
 
     budget caps the error patterns a leader table may hold and, in
     exhaustive mode, the sphere_volume(q, N, delta or forced_weight) error
@@ -485,6 +490,8 @@ def trial_campaign(inst, field, L, delta, trials, seed,
         raise ValueError("delta must be >= 0")
     if forced_weight is not None and not 0 <= forced_weight <= N:
         raise ValueError("forced_weight out of range")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
     if exhaustive:
         cap = delta if forced_weight is None else forced_weight
@@ -494,7 +501,7 @@ def trial_campaign(inst, field, L, delta, trials, seed,
                 f"exhaustive campaign over {patterns} error patterns exceeds "
                 f"budget {budget}")
         decoder = _decoder_or_none(inst, field, L, delta, budget)
-        blocks = sparse_blocks(field.q, N, cap, block_rows(N * max(n, N)))
+        blocks = sparse_blocks(field.q, N, cap, _tally_rows(decoder, N))
         if forced_weight is not None:      # the shell: weight exactly cap
             blocks = (E[np.count_nonzero(E, axis=1) == cap] for E in blocks)
         parts = [_tally(inst, decoder, E) for E in blocks]

@@ -9,6 +9,7 @@ from indexcode import fields
 from indexcode.codes import construct_concat
 from indexcode.decoding import (
     Decoder,
+    ReceiverView,
     code_Ci,
     decode,
     find_combiner,
@@ -376,6 +377,9 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
         dec.decode_block(0, np.array([1, 1, 1]), side)
     with pytest.raises(ValueError, match=r"side rows .*\(2, 1\).*2 col"):
         dec.decode_block(0, np.ones((2, 3), dtype=np.int64), side[:, :1])
+    # one side row used to stand for every word, or to raise IndexError
+    with pytest.raises(ValueError, match="1 side rows for 2 received words"):
+        dec.decode_block(0, np.ones((2, 3), dtype=np.int64), side[:1])
     # -1 used to decode for the last receiver, and 3 raised IndexError
     for i in (-1, 3):
         with pytest.raises(ValueError, match=f"receiver {i} out of range"):
@@ -385,6 +389,51 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
              for y, s in zip(Y, side)]
     assert dec.decode_block(0, Y, side).tolist() == [
         dec.decode(v).x_hat for v in views]
+
+
+@pytest.mark.parametrize("q, Y, side, name", [
+    (4, [[0, 0, 0, -1]], None, "received words"),   # used to decode
+    (4, [[0, 9, 0, 0]], None, "received words"),    # used to raise IndexError
+    (2, [[5, 0, 0, 0]], None, "received words"),    # used to read as 1
+    (2, [[0, 0, 0, 0]], [[7, 0]], "side rows"),     # used to read as 1
+])
+def test_decode_block_refuses_entries_outside_the_field(k3, k3_L, q, Y, side,
+                                                        name):
+    dec = Decoder(k3, make_field(q), k3_L, 1)
+    match = f"{name} have entries outside 0..{q - 1}"
+    with pytest.raises(ValueError, match=match):
+        dec.decode_block(0, Y, side)
+    if side is None:
+        with pytest.raises(ValueError, match=match):
+            dec.decode_all(Y)
+
+
+@pytest.mark.parametrize("i, y, side, match", [
+    (-1, (1, 1, 0, 1), ((0, 1), (1, 0)), "receiver -1 out of range"),
+    (3, (1, 1, 0, 1), ((0, 1), (1, 0)), "receiver 3 out of range"),
+    (0, (1, 1, 0, 1), ((0, 1), (2, 1)), "cover exactly X_i"),
+    (0, (1, 1, 0, 1), ((1, 0), (2, 1), (2, 1)), "cover exactly X_i"),
+    (0, (1, 1, 0, 1), ((1, 0),), "cover exactly X_i"),
+    (0, (1, 1, 0, 2), ((1, 0), (2, 1)), "received word entries"),
+    (0, (1, 1, 0, 1), ((1, 0), (2, 3)), "side values"),
+])
+def test_hand_built_views_are_refused(F2, k3, k3_L, i, y, side, match):
+    """A ReceiverView built by hand skips make_view: receiver -1 used to
+    decode as receiver 2, receiver 3 raised IndexError, and side indices
+    outside X_i were used.  Every decoder refuses what make_view refuses,
+    and decodes the same view once it is mended."""
+    table = Decoder(k3, F2, k3_L, 1)
+    decoders = [table.decode,
+                lambda v: decode(k3, F2, k3_L, 1, v),
+                lambda v: decode(k3, F2, k3_L, 1, v, recovery="eliminate")]
+    for fn in decoders:
+        with pytest.raises(ValueError, match=match):
+            fn(ReceiverView(i=i, y=y, side=side))
+    if len(dict(side)) == len(side):     # a dict holds no repeated index
+        with pytest.raises(ValueError, match=match):
+            make_view(k3, F2, i, y, dict(side))
+    good = ReceiverView(i=0, y=(1, 1, 0, 1), side=((1, 0), (2, 1)))
+    assert {fn(good).x_hat for fn in decoders} == {1}
 
 
 def _error_alone_cases():
@@ -423,7 +472,7 @@ def test_decode_block_outcome_depends_on_error_alone():
             want = np.where(offset >= 0, F.add_arr(
                 X[:, inst.f[i]], np.maximum(offset, 0)), -1)
             assert table.decode_block(i, Y, side).tolist() == want.tolist()
-            if table._tables[i][3] is None:
+            if not table._has_combiner[i]:
                 seen.add("no combiner")
             else:
                 seen |= {("no leader", "right", "wrong")[min(v + 1, 2)]
@@ -440,6 +489,72 @@ def test_decode_block_without_side_is_x_zero():
             for words in (E, Y):
                 assert (table.decode_block(i, words).tolist()
                         == table.decode_block(i, words, zero).tolist())
+
+
+@pytest.mark.parametrize("cells", [1, 50, fields.BLOCK_CELLS])
+def test_decode_all_is_decode_block_at_every_receiver(monkeypatch, cells):
+    """decode_all looks a block up at every receiver at once; column i is
+    decode_block(i, Y) on the error-alone cases (no combiner, no leader,
+    right and wrong answers) and on the table cases (int64 and Python-int
+    keys), with tables built a few patterns at a time or in one step."""
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
+    cases, seen = [], set()
+    for F, inst, L, table, X, E in _error_alone_cases():
+        cases.append((inst, table, E, F.add_arr(F.matmul(X, L), E)))
+    rng = np.random.default_rng(48)
+    for F, inst, L, delta in _table_cases(rng):
+        N = L.shape[1]
+        E = rng.integers(0, F.q, size=(40, N)) * (rng.random((40, N)) < 0.2)
+        cases.append((inst, Decoder(inst, F, L, delta), E))
+    for inst, table, E, *more in cases:
+        for Y in (E, *more):
+            got = table.decode_all(Y)
+            assert got.shape == (len(Y), inst.m)
+            for i in range(inst.m):
+                assert got[:, i].tolist() == table.decode_block(i, Y).tolist()
+        for i, offsets in enumerate(table.decode_all(E).T.tolist()):
+            if not table._has_combiner[i]:
+                seen.add("no combiner")
+            else:
+                seen |= {("no leader", "right", "wrong")[min(v + 1, 2)]
+                         for v in offsets}
+        seen.add(table._table.dtype)
+    assert seen == {"no combiner", "no leader", "right", "wrong",
+                    np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("N, dtype", [(63, np.int64), (64, object)])
+def test_decoder_keys_at_the_int64_boundary(N, dtype):
+    """Two receivers over GF(2) with N - 1 and N - 2 checks: every
+    receiver's own keys are int64, and m q^kmax, one past the largest
+    offset key, is 2^63 (int64 keys) or 2^64 (Python ints, so the own keys
+    are cast before the offset is added)."""
+    F2 = make_field(2)
+    inst = make_instance(2, (0, 1), ({1}, set()))
+    rng = np.random.default_rng(49)
+    L = rng.integers(0, 2, size=(2, N))
+    table = Decoder(inst, F2, L, 1)
+    assert table._k.tolist() == [N - 1, N - 2]
+    assert product_index(2, np.zeros((1, N - 1))).dtype == np.int64
+    assert table._table.dtype == dtype
+    for i in range(2):
+        H, keys, first, _ = _receiver_table(table, i)
+        want, want_first = np.unique(product_index(
+            2, F2.matmul(table._patterns, H.T)), return_index=True)
+        assert keys.tolist() == want.tolist()
+        assert first.tolist() == want_first.tolist()
+    assert int(table._table[-1]) >= 2 ** (N - 1)   # receiver 1's keys
+    E = sparse_vectors(2, N, 2)[::70]
+    X = rng.integers(0, 2, size=(len(E), 2))
+    Y = F2.add_arr(F2.matmul(X, L), E)
+    got = table.decode_all(E)
+    for i in range(2):
+        assert got[:, i].tolist() == table.decode_block(i, E).tolist()
+        for t in range(len(Y)):
+            view = make_view(inst, F2, i, Y[t],
+                             {j: int(X[t, j]) for j in inst.X[i]})
+            assert (_outcome(table.decode, view)
+                    == _outcome(lambda v: decode(inst, F2, L, 1, v), view))
 
 
 def _table_cases(rng):
@@ -464,11 +579,22 @@ def _table_cases(rng):
     yield make_field(4), inst, rng.integers(1, 4, size=(2, 33)), 1
 
 
+def _receiver_table(table, i):
+    """Receiver i's part of the stacked table: its parity check, its own
+    keys (the offset taken off), their leaders' rows in the shared
+    patterns and the leaders' shares l u of the symbol."""
+    owner = np.searchsorted(table._offset, table._table, side="right") - 1
+    mine = owner == i
+    return (table._check(i), table._table[mine] - table._offset[i],
+            table._leaders[mine], table._shares[mine])
+
+
 def _decoder_tables(seed):
     """Every receiver's keys, leaders and decode_block output on a seeded
     block of light-error broadcasts, over the _table_cases; each
     receiver's H, combiner, keys and leaders are checked against
-    code_Ci, find_combiner and a np.unique of its own syndrome keys."""
+    code_Ci, find_combiner and a np.unique of its own syndrome keys, and
+    the keys' dtype against m q^kmax."""
     rng = np.random.default_rng(seed)
     out, seen = [], set()
     for F, inst, L, delta in _table_cases(rng):
@@ -477,21 +603,28 @@ def _decoder_tables(seed):
         X = rng.integers(0, q, size=(40, inst.n))
         E = rng.integers(0, q, size=(40, N)) * (rng.random((40, N)) < 0.2)
         Y = F.add_arr(F.matmul(X, L), E)
-        for i, (H, keys, first, comb) in enumerate(table._tables):
+        kmax = max(len(code_Ci(inst, F, L, i)[1]) for i in range(inst.m))
+        assert table._table.dtype == (
+            np.int64 if inst.m * q ** kmax <= 2 ** 63 else object)
+        seen.add(table._table.dtype)
+        for i in range(inst.m):
+            H, keys, first, shares = _receiver_table(table, i)
             assert np.array_equal(H, code_Ci(inst, F, L, i)[1])
+            u = table._U[i]
             try:
-                u, v = find_combiner(inst, F, L, i)
+                want_u, _ = find_combiner(inst, F, L, i)
             except NotAnIndexCode:
-                assert comb is None
+                assert not table._has_combiner[i] and not u.any()
                 seen.add("no combiner")
             else:
-                assert comb[0].tolist() == u.tolist()
-                assert comb[1].tolist() == v.tolist()
+                assert table._has_combiner[i]
+                assert u.tolist() == want_u.tolist()
             want, want_first = np.unique(product_index(
                 q, F.matmul(table._patterns, H.T)), return_index=True)
-            assert keys.dtype == want.dtype and keys.tolist() == want.tolist()
+            assert keys.tolist() == want.tolist()
             assert first.tolist() == want_first.tolist()
-            seen.add(keys.dtype)
+            assert shares.tolist() == F.matvec(table._patterns[first],
+                                               u).tolist()
             side = X[:, sorted(inst.X[i])]
             out.append((keys.tolist(), table._patterns[first].tolist(),
                         table.decode_block(i, Y, side).tolist()))
@@ -520,7 +653,9 @@ def test_decoder_leader_is_the_first_pattern_of_its_syndrome(F3):
     for _ in range(4):
         inst = random_instance(rng, 3, 4)
         L = rng.integers(0, 3, size=(inst.n, 5))
-        for H, keys, first, _ in Decoder(inst, F3, L, 2)._tables:
+        table = Decoder(inst, F3, L, 2)
+        for i in range(inst.m):
+            H, keys, first, _ = _receiver_table(table, i)
             firsts = {}
             for at, e in enumerate(patterns):
                 firsts.setdefault(tuple(F3.matvec(H, e)), at)
@@ -539,9 +674,7 @@ def test_decoder_hands_out_copies_of_its_tables(F2, k3, k3_L):
     res.combiner[:] = 0
     assert table.decode(view).x_hat == 1
     assert table.decode_block(0, [view.y], [[0, 1]]).tolist() == [1]
-    arrays = [table._patterns]
-    for H, keys, first, (u, v) in table._tables:
-        arrays += [H, keys, first, u, v]
+    arrays = [A for A in vars(table).values() if isinstance(A, np.ndarray)]
     for A in arrays:
         with pytest.raises(ValueError):
             A[...] = 0

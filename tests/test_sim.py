@@ -8,6 +8,7 @@ import pytest
 from indexcode import fields, sim
 from indexcode.bounds import _hamming_entry
 from indexcode.codes import construct_lift, verify
+from indexcode.decoding import Decoder
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import (block_rows, make_field, sparse_vectors,
                               sphere_volume, weight)
@@ -207,6 +208,7 @@ def test_campaign_exhaustive_decodes_each_error_once(monkeypatch, q, delta,
     field = make_field(q)
     L = np.random.default_rng(90 + q).integers(0, q, size=(5, 9))
     inst = odd_cycle_instance(2)
+    cells = 10 * Decoder(inst, field, L, delta).word_cells
     whole = trial_campaign(inst, field, L, delta, 0, 0,
                            forced_weight=forced, exhaustive=True)
     rows, tally = [], sim._tally
@@ -216,7 +218,7 @@ def test_campaign_exhaustive_decodes_each_error_once(monkeypatch, q, delta,
         return tally(inst, decoder, E)
 
     monkeypatch.setattr(sim, "_tally", counting)
-    monkeypatch.setattr(fields, "BLOCK_CELLS", 10 * 9 * 9)
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
     st = trial_campaign(inst, field, L, delta, 0, 0,
                         forced_weight=forced, exhaustive=True)
     errors = (sphere_volume(q, 9, delta) if forced is None else
@@ -224,6 +226,33 @@ def test_campaign_exhaustive_decodes_each_error_once(monkeypatch, q, delta,
     assert sum(rows) == errors
     assert forced == 0 or len(rows) > 1
     assert st == whole and st.trials == q ** inst.n * errors
+
+
+@pytest.mark.parametrize("cells", [1, 50, fields.BLOCK_CELLS])
+def test_tally_weights_each_row_by_its_count(monkeypatch, cells):
+    # distinct errors with counts tally as the same errors repeated and as
+    # each receiver's decode_block; past the radius some receivers fail,
+    # and without a table every receiver fails every case
+    monkeypatch.setattr(fields, "BLOCK_CELLS", cells)
+    F3 = make_field(3)
+    inst = make_instance(3, (0, 1, 2), ({1, 2}, {0, 2}, {0, 1}))
+    rng = np.random.default_rng(93)
+    L = rng.integers(0, 3, size=(3, 5))
+    decoder = Decoder(inst, F3, L, 1)
+    E = sparse_vectors(3, 5, 2)[::3]
+    counts = rng.integers(1, 5, size=len(E))
+    repeated = np.repeat(E, counts, axis=0)
+    T = len(repeated)
+    right = np.array([decoder.decode_block(i, repeated) == 0
+                      for i in range(3)])
+    want = (T, int(right.all(axis=0).sum()), (T - right.sum(axis=1)).tolist(),
+            2)
+    assert 0 < want[1] < T and 0 < min(want[2])
+    for tally in (sim._tally(inst, decoder, E, counts),
+                  sim._tally(inst, decoder, repeated)):
+        assert (*tally[:2], tally[2].tolist(), tally[3]) == want
+    tally = sim._tally(inst, None, E, counts)
+    assert (*tally[:2], tally[2].tolist(), tally[3]) == (T, 0, [T] * 3, 2)
 
 
 def test_campaign_exhaustive_lifted_c7():
@@ -287,6 +316,17 @@ def test_campaign_validation(F2, k3, k3_L):
 
 def _no_decoder(*args):
     raise AssertionError("the Decoder was built before the check")
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_campaign_refuses_fewer_than_one_worker(monkeypatch, F2, k3, k3_L,
+                                                workers):
+    # these used to run one process; CLI --workers refuses them too
+    monkeypatch.setattr(sim, "_decoder_or_none", _no_decoder)
+    for exhaustive in (False, True):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            trial_campaign(k3, F2, k3_L, 1, 10, 0, exhaustive=exhaustive,
+                           workers=workers)
 
 
 @pytest.mark.parametrize("seed, error", [
