@@ -192,7 +192,10 @@ def find_combiner(inst, field, L, i):
 
 
 def recover(inst, field, L, view, e_hat, combiner=None):
-    """Demanded symbol from a corrected word: (y - e) u - side combination."""
+    """Demanded symbol from a corrected word: (y - e) u - side combination;
+    ValueError for a view make_view would refuse or of the wrong length."""
+    L = check_matrix(field, L)
+    _check_view(inst, field, view, L.shape[1])
     i = view.i
     if combiner is None:
         combiner = find_combiner(inst, field, L, i)

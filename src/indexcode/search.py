@@ -41,15 +41,25 @@ children are done, where a one-by-one loop would have reached them.  They
 are never solved, since a solving column covers every deficient target.
 
 A parent runs each child's entry tests in its own loop (solved, coverage
-rule) and builds the child's other levels and a frame only for a child that
-passes them all.  A child with one slot left has every deficit <= 1, so it
-passes the coverage rule exactly when one type u >= t covers its deficient
-set, and then it is solved at the first such u in one node: the parent looks
-for that u itself and counts that node.  So only a child with two or more
-slots gets a frame, and at the root of length 1, d = 1 makes every candidate
-solve.  Children test the types u >= t in a list of (u, masks[u]) for the
-types with a hit, built the first time some child takes t.  A child counts
-as a node, and meets the budget, when it is tested.
+rule), and builds the child's other levels and a frame only for a child with
+three or more slots that passes them all.  A child with two slots left gets
+no frame: its parent hands last_two the child's deficient set D, its tight
+set T (the targets of deficit 2; 0 when d = 1) and its pool, the types
+u >= t, ascending, that cover T and hit D; the union-rule passers come first
+and the failures, the dead, after them.  A grandchild that took the pool type
+t' has one slot and every deficit <= 1, so it passes the coverage rule
+exactly when some type u >= t' covers its deficient set (D & ~m_t') | T, and
+it is then solved at the first such u in one node.  Such a u covers T and
+hits D, so it is a pool entry at or after t', and the pool is in ascending
+order: the first hit in the rest of the pool is the first hit among all the
+types u >= t'.  The root of length 2 is such a frame, its candidates its
+pool; at the root of length 1, d = 1 makes every candidate solve.  Parents
+test the types u >= t in a list of (u, masks[u]) for the types with a hit,
+built the first time some child takes t; for a two-slot child they count
+the hits of a type only while its coverage rule is undecided.  A child
+counts as a node, and meets the budget, when it is tested; a solving pair
+adds a node for its last column, and a two-slot frame that fails adds its
+dead.
 
 The scan runs in one process, one length after another, and the budget caps
 the nodes of each length.  Node counts therefore depend only on the inputs.
@@ -119,9 +129,35 @@ def _search_fixed_n(masks, nz, d, n, budget):
     stop = f"search budget {budget} exhausted"
     nodes = 0
 
+    def last_two(def_mask, tight, pool, live):
+        # a frame with two slots: pool holds (u, masks[u]) for its types
+        # covering tight and hitting def_mask, ascending, and the first
+        # live of them pass the union rule
+        nonlocal nodes
+        for i in range(live):
+            u, mu = pool[i]
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(stop)
+            need = (def_mask & ~mu) | tight  # the child's deficient set
+            if not need:
+                return (u,)
+            for v, mv in pool[i:]:
+                if not need & ~mv:
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceeded(stop)
+                    return (u, v)
+        nodes += len(pool) - live
+        if nodes > budget:
+            raise BudgetExceeded(stop)
+        return None
+
     def dfs(levels, def_sum, remaining, cands, dead):
-        # cands: the children (type, hit set, size) that pass the union
-        # rule; dead: how many children after them fail it
+        # a frame with three or more slots, or the root of length 1 (whose
+        # children all solve); cands: the children (type, hit set, size)
+        # that pass the union rule; dead: how many children after them
+        # fail it
         nonlocal nodes
         remaining -= 1  # each child's slots
         r = remaining - 1
@@ -139,37 +175,44 @@ def _search_fixed_n(masks, nz, d, n, budget):
             if tail is None:
                 tail = tails[t] = [(u, masks[u]) for u in range(t, T)
                                    if masks[u]]
-            if remaining == 1:  # solved by the first type covering def_mask
-                for u, mu in tail:
-                    if not def_mask & ~mu:
-                        nodes += 1
-                        if nodes > budget:
-                            raise BudgetExceeded(stop)
-                        return (t, u)
-                continue
             tight = (levels[r] & nm) | (levels[r + 1] & m) \
                 if remaining <= d else 0
-            sub_cands = []
-            sub_dead = 0
-            maxcov = 0
-            for u, mu in tail:
-                mu &= def_mask
-                if mu:
-                    c = mu.bit_count()
-                    if c > maxcov:
-                        maxcov = c
-                    if not tight & ~mu:
+            if remaining == 2:
+                pool = []
+                live = 0
+                half = (sub_sum + 1) >> 1  # 0 once the coverage rule passes
+                for u, mu in tail:
+                    if half and (mu & def_mask).bit_count() >= half:
+                        half = 0
+                    if not tight & ~mu and mu & def_mask:
+                        pool.append((u, mu))
                         if reach[u] & def_mask == def_mask:
-                            sub_cands.append((u, mu, c))
-                        else:
-                            sub_dead += 1
-            if sub_sum > remaining * maxcov:
-                continue
-            sub_levels = [def_mask]
-            for k in range(1, width):
-                sub_levels.append((levels[k] & nm) | (levels[k + 1] & m))
-            sub_levels.append(0)
-            sub = dfs(sub_levels, sub_sum, remaining, sub_cands, sub_dead)
+                            live += 1
+                if half:
+                    continue
+                sub = last_two(def_mask, tight, pool, live)
+            else:
+                sub_cands = []
+                sub_dead = 0
+                maxcov = 0
+                for u, mu in tail:
+                    mu &= def_mask
+                    if mu:
+                        c = mu.bit_count()
+                        if c > maxcov:
+                            maxcov = c
+                        if not tight & ~mu:
+                            if reach[u] & def_mask == def_mask:
+                                sub_cands.append((u, mu, c))
+                            else:
+                                sub_dead += 1
+                if sub_sum > remaining * maxcov:
+                    continue
+                sub_levels = [def_mask]
+                for k in range(1, width):
+                    sub_levels.append((levels[k] & nm) | (levels[k + 1] & m))
+                sub_levels.append(0)
+                sub = dfs(sub_levels, sub_sum, remaining, sub_cands, sub_dead)
             if sub is not None:
                 return (t,) + sub
         nodes += dead
@@ -179,11 +222,14 @@ def _search_fixed_n(masks, nz, d, n, budget):
 
     full = (1 << nz) - 1
     tight = full if n == d else 0
-    cands = [(t, masks[t], masks[t].bit_count())
-             for t in range(T) if masks[t] and not tight & ~masks[t]]
-    live = [c for c in cands if reach[c[0]] == full]
+    cands = [t for t in range(T) if masks[t] and not tight & ~masks[t]]
+    live = [t for t in cands if reach[t] == full]
     try:
-        return dfs([full] * d + [0], d * nz, n, live,
+        if n == 2:
+            return last_two(full, tight, [(t, masks[t]) for t in cands],
+                            len(live)), nodes
+        return dfs([full] * d + [0], d * nz, n,
+                   [(t, masks[t], masks[t].bit_count()) for t in live],
                    len(cands) - len(live)), nodes
     finally:
         del dfs  # dfs names itself through a cell: break the cycle now

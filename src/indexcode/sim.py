@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,6 +520,8 @@ def trial_campaign(inst, field, L, delta, trials, seed,
         # chunk bounds follow `workers`; processes never outnumber the
         # chunks or the CPUs
         procs = min(len(args), os.cpu_count() or 1)
+        # imported here: multiprocessing and logging load with it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             chunks = list(pool.map(_run_chunk_star, args))
     else:

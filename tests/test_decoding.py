@@ -18,6 +18,7 @@ from indexcode.decoding import (
     min_weight_coset_solution,
     received_from_text,
     received_to_text,
+    recover,
     recover_by_elimination,
     relevant_error_set,
     save_received,
@@ -434,6 +435,23 @@ def test_hand_built_views_are_refused(F2, k3, k3_L, i, y, side, match):
             make_view(k3, F2, i, y, dict(side))
     good = ReceiverView(i=0, y=(1, 1, 0, 1), side=((1, 0), (2, 1)))
     assert {fn(good).x_hat for fn in decoders} == {1}
+
+
+@pytest.mark.parametrize("view, match", [
+    (ReceiverView(-1, (1, 1, 0, 1), ((0, 1), (1, 0))),
+     "receiver -1 out of range"),
+    (ReceiverView(0, (1, 1, 0, 1), ((1, 0), (2, 5))), "side values"),
+    (ReceiverView(0, (1, 1, 0, 1), ((0, 1), (2, 1))), "cover exactly X_i"),
+    (ReceiverView(0, (1, 1, 0), ((1, 0), (2, 1))), "has 3 symbols"),
+])
+def test_recover_refuses_hand_built_views(F2, k3, k3_L, view, match):
+    """recover used to take a hand-built view unchecked: receiver -1
+    answered as receiver 2, and a side value of 5 was used as it stood."""
+    with pytest.raises(ValueError, match=match):
+        recover(k3, F2, k3_L, view, np.zeros(4, dtype=np.int64))
+    good = ReceiverView(0, (1, 1, 0, 1), ((1, 0), (2, 1)))
+    res = decode(k3, F2, k3_L, 1, good)
+    assert recover(k3, F2, k3_L, good, res.e_hat) == res.x_hat == 1
 
 
 def _error_alone_cases():

@@ -3,6 +3,8 @@ imports on purpose and is left out)."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +44,15 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_loads_no_process_pool():
+    # only trial_campaign(..., workers > 1) needs a process pool, and
+    # concurrent.futures brings multiprocessing and logging with it
+    code = ("import sys, indexcode, indexcode.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing', 'logging') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=SRC.parent).stdout
+    assert out.split() == ["[]"]

@@ -57,7 +57,7 @@ def test_budget_counts_the_nodes_of_one_length():
 
 def test_budget_stop_at_a_one_slot_node(F2, ring5):
     # N=8 takes exactly 26,631 nodes, the last of them a child with one slot
-    # left, which its parent solves and counts
+    # left, which the two-slot frame above it solves and counts
     rep = search_min_length(ring5, F2, 2, 8, budget=26_631)
     assert (rep.n_opt, rep.nodes) == (8, 26_693)
     with pytest.raises(BudgetExceeded, match=r"at length 8") as stop:
@@ -158,6 +158,130 @@ def test_min_length_search_matches_brute_force(q, k):
             assert res.solution == _first_multiset(q, columns, targets, d,
                                                    res.n_opt)
     assert nodes == BRUTE_FORCE_NODES[q, k]
+
+
+def _random_targets(rng, q, k):
+    vectors = list(itertools.product(range(q), repeat=k))[1:]
+    size = int(rng.integers(1, len(vectors) + 1))
+    return [vectors[i] for i in sorted(
+        rng.choice(len(vectors), size, replace=False))]
+
+
+def _check_budget_boundary(field, columns, targets, d, n_max):
+    """Re-run the search at each length's node count c and at c - 1: a
+    budget b stops at the first length that takes more than b nodes, with
+    the lengths before it refuted as in the full run, and otherwise returns
+    the full run's result.  Returns the node count of each length."""
+    res = min_length_search(field, columns, targets, d, n_max)
+    counts = dict(res.refuted)
+    if res.n_opt is not None:
+        counts[res.n_opt] = res.nodes - sum(res.refuted.values())
+    for c in counts.values():
+        for budget in (c, c - 1) if c else (c,):
+            stop = next((n for n, c_n in counts.items() if c_n > budget),
+                        None)
+            if stop is None:
+                assert min_length_search(field, columns, targets, d, n_max,
+                                         budget=budget) == res
+                continue
+            with pytest.raises(BudgetExceeded,
+                               match=rf"{budget} exhausted at length "
+                                     rf"{stop};") as exc:
+                min_length_search(field, columns, targets, d, n_max,
+                                  budget=budget)
+            assert exc.value.refuted == {n: c_n for n, c_n in counts.items()
+                                         if n < stop}
+    return counts
+
+
+def test_budget_stops_at_each_length_boundary():
+    # the budget is met after every node: a child when it is tested, a
+    # solving pair's last column and a failed frame's dead alike
+    rng = np.random.default_rng(2027)
+    dims = {2: (3, 4, 5), 3: (2, 3), 4: (2, 3), 5: (2, 3)}
+    checked = 0
+    for _ in range(60):
+        q = int(rng.choice(list(dims)))
+        k = int(rng.choice(dims[q]))
+        field = make_field(q)
+        columns = projective_reps(field, k)
+        vectors = list(itertools.product(range(q), repeat=k))[1:]
+        size = int(rng.integers(len(vectors) // 2, len(vectors) + 1))
+        targets = [vectors[i] for i in sorted(
+            rng.choice(len(vectors), size, replace=False))]
+        d = int(rng.integers(1, 6))
+        n_max = d + int(rng.integers(0, 8))
+        try:  # keep the case small
+            min_length_search(field, columns, targets, d, n_max,
+                              budget=20_000)
+        except BudgetExceeded:
+            continue
+        _check_budget_boundary(field, columns, targets, d, n_max)
+        checked += 1
+    assert checked >= 50
+
+
+def _last_column_is_dead(field, columns, targets, d, solution):
+    """Whether the solution's last type fails the union rule in the frame
+    with two slots left: some target still deficient there is hit by no
+    type at or after it."""
+    masks = build_hits(field, columns, targets)
+    hits = [sum(masks[t] >> j & 1 for t in solution[:-2])
+            for j in range(len(targets))]
+    deficient = sum(1 << j for j, h in enumerate(hits) if h < d)
+    reach = functools.reduce(int.__or__, masks[solution[-1]:], 0)
+    return deficient & ~reach != 0
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2)])
+def test_last_column_may_fail_the_union_rule(q, k):
+    """A two-slot frame looks for the last column in its whole pool, the
+    types that fail the union rule (its dead) included: a grandchild's
+    deficient set can lie inside the reach of such a type.  The sample
+    must hold solutions that end on one."""
+    field = make_field(q)
+    columns = projective_reps(field, k)
+    rng = np.random.default_rng(50 + 10 * q + k)
+    dead_last = 0
+    for _ in range(30):
+        targets = _random_targets(rng, q, k)
+        d = int(rng.integers(1, 4))
+        res = min_length_search(field, columns, targets, d, d + 5)
+        for n in res.refuted:
+            assert _first_multiset(q, columns, targets, d, n) is None
+        if res.n_opt is None:
+            continue
+        assert res.solution == _first_multiset(q, columns, targets, d,
+                                               res.n_opt)
+        dead_last += res.n_opt >= 2 and _last_column_is_dead(
+            field, columns, targets, d, res.solution)
+    assert dead_last >= 2
+
+
+@pytest.mark.parametrize("q,k,targets,d,n_opt,solution,nodes", [
+    # d = 1, length 2: the root is a two-slot frame with no tight set
+    (2, 2, [(0, 1), (1, 0), (1, 1)], 1, 2, (0, 1), 2),
+    (3, 2, list(itertools.product(range(3), repeat=2))[1:], 1, 2,
+     (0, 1), 2),
+    # n = d = 2: the root's tight set is every target
+    (2, 2, [(1, 0), (1, 1)], 2, 2, (1, 1), 2),
+    (2, 2, [(0, 1), (1, 0), (1, 1)], 2, 3, (0, 1, 2), 3),
+    # d = 1 with two-slot frames below the root, tight set empty
+    (2, 3, list(itertools.product(range(2), repeat=3))[1:], 1, 3,
+     (0, 1, 3), 10),
+    (2, 4, list(itertools.product(range(2), repeat=4))[1:], 1, 4,
+     (0, 1, 3, 7), 133),
+])
+def test_two_slot_edge_cases(q, k, targets, d, n_opt, solution, nodes):
+    field = make_field(q)
+    columns = projective_reps(field, k)
+    res = min_length_search(field, columns, targets, d, n_opt)
+    assert (res.n_opt, res.solution, res.nodes) == (n_opt, solution, nodes)
+    assert set(res.refuted) == set(range(d, n_opt))
+    for n in res.refuted:
+        assert _first_multiset(q, columns, targets, d, n) is None
+    assert res.solution == _first_multiset(q, columns, targets, d, n_opt)
+    _check_budget_boundary(field, columns, targets, d, n_opt)
 
 
 def test_search_rejects_bad_counts(F2, pentagon):

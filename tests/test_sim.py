@@ -1,5 +1,6 @@
 """Broadcast simulation: single runs, random campaigns, exhaustive sweeps."""
 
+import concurrent.futures
 import itertools
 
 import numpy as np
@@ -161,7 +162,9 @@ def test_campaign_pool_never_outnumbers_its_chunks(monkeypatch, F2, k3,
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+    # trial_campaign imports the pool class when workers > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
     many = trial_campaign(k3, F2, k3_L, 1, 2, seed=3, workers=5000)
     assert sizes and max(sizes) <= 2
     assert many == trial_campaign(k3, F2, k3_L, 1, 2, seed=3, workers=1)
