@@ -5,10 +5,12 @@ and minimum distance at least d.  Sources, in the order the auto mode tries
 them: closed forms (d = 1, repetition, the MDS rule N = k + d - 1 valid once
 q >= k + d - 2), Hamming's rule for d = 3 once F_q^k has more projective
 points than a search may take as columns, and exhaustive column-multiset
-search.  Every source with an N comes with a generator.  When none applies
-(too many projective points, or the search budget ran out), the entry
-degrades to the bracket [Singleton, Gilbert-Varshamov] with provenance
-"bracket".  A search that refutes every length up to an explicit n_max
+search.  Every source with an N comes with a generator.  When none applies,
+the entry degrades to a bracket with provenance "bracket": past the point
+cap it is [Singleton, Gilbert-Varshamov]; when the search budget ran out it
+keeps what the search proved, the lengths it refuted and their nodes, and
+the bracket [max(first unrefuted length, Griesmer), Gilbert-Varshamov].  A
+search that refutes every length up to an explicit n_max
 instead keeps provenance "search", its nodes and refutations, and the
 bracket [max(n_max + 1, Singleton), Gilbert-Varshamov].  A bracket whose
 two ends meet proves N, which is then set (with no generator).
@@ -153,10 +155,15 @@ def nq_kd(q, k, d, mode="auto", n_max=None, workers=1,
         return _hamming_entry(field, k)
     try:
         return _search_entry(field, k, d, n_max, budget)
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
+        refuted = getattr(exc, "refuted", None)  # None past the point cap
+        if refuted is None:
+            refuted, low = {}, singleton_lower(k, d)
+        else:
+            low = max(d + len(refuted), griesmer_lower(q, k, d))
         return CodeTableEntry(q, k, d, None, "bracket", None,
-                              (singleton_lower(k, d), gv_upper(q, k, d)),
-                              0, {})
+                              (low, gv_upper(q, k, d)),
+                              sum(refuted.values()), refuted)
 
 
 # ---------------------------------------------------------------------------

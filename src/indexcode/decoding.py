@@ -71,18 +71,23 @@ def _check_view(inst, field, view, N=None):
         raise ValueError("side values out of range")
 
 
+def _check_vector(field, name, v, size):
+    """v as an int64 array of size entries in 0..q-1; ValueError, naming
+    it, otherwise."""
+    v = np.asarray(v, dtype=np.int64)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must have {size} entries")
+    if v.min(initial=0) < 0 or v.max(initial=0) >= field.q:
+        raise ValueError(f"{name} entries must lie in 0..{field.q - 1}")
+    return v
+
+
 def check_broadcast(inst, field, L, x, error):
     """x (n entries) and error (N entries) as int64 arrays over the field;
     ValueError names the first one of the wrong length or with an entry
     outside 0..q-1."""
-    x = np.asarray(x, dtype=np.int64)
-    error = np.asarray(error, dtype=np.int64)
-    for name, v, size in (("x", x, inst.n), ("error", error, L.shape[1])):
-        if v.shape != (size,):
-            raise ValueError(f"{name} must have {size} entries")
-        if v.min(initial=0) < 0 or v.max(initial=0) >= field.q:
-            raise ValueError(f"{name} entries must lie in 0..{field.q - 1}")
-    return x, error
+    return (_check_vector(field, "x", x, inst.n),
+            _check_vector(field, "error", error, L.shape[1]))
 
 
 def transmit(inst, field, L, x, error, i):
@@ -193,15 +198,16 @@ def find_combiner(inst, field, L, i):
 
 def recover(inst, field, L, view, e_hat, combiner=None):
     """Demanded symbol from a corrected word: (y - e) u - side combination;
-    ValueError for a view make_view would refuse or of the wrong length."""
+    ValueError for a view make_view would refuse, or a view or e_hat of
+    the wrong length or e_hat entries outside 0..q-1."""
     L = check_matrix(field, L)
     _check_view(inst, field, view, L.shape[1])
+    e_hat = _check_vector(field, "e_hat", e_hat, L.shape[1])
     i = view.i
     if combiner is None:
         combiner = find_combiner(inst, field, L, i)
     u, v = combiner
-    y = np.asarray(view.y, dtype=np.int64)
-    corrected = field.sub_arr(y, np.asarray(e_hat, dtype=np.int64))
+    corrected = field.sub_arr(np.asarray(view.y, dtype=np.int64), e_hat)
     acc = field.dot(corrected, u)
     for j, val in view.side:
         acc = field.sub(acc, field.mul(val, int(v[j])))
@@ -213,10 +219,11 @@ def recover_by_elimination(inst, field, L, view, e_hat):
 
     Fix the known coordinates, solve x_unknown L_unknown = y - e - known
     part, and read off the demanded coordinate of the first solution.
+    ValueError for what recover refuses.
     """
     L = check_matrix(field, L)
-    rhs = field.sub_arr(_strip(inst, field, L, view),
-                        np.asarray(e_hat, dtype=np.int64))
+    rhs = field.sub_arr(_strip(inst, field, L, view),  # checks the view
+                        _check_vector(field, "e_hat", e_hat, L.shape[1]))
     i = view.i
     unknown = [j for j in range(inst.n) if j not in inst.X[i]]
     sol = solve_one(field, L[unknown].T, rhs)

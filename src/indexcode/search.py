@@ -20,46 +20,56 @@ an ascending-length scan:
   cannot reach the total deficit;
 * dead when some deficient target is hit by no remaining column type.
 
-Deficits are stored bit-sliced: targets are bit positions, and levels[k] is
-the set of targets still short of k+1 hits, so levels[0] is the deficient
-set, levels[k+1] is a subset of levels[k], and a trailing 0 closes the list;
-a node with s slots has no deficit above s, so it lists min(s, d) levels.
-Hitting the deficient targets m of a column is levels[k] = (levels[k] & ~m)
-| (levels[k+1] & m), a few int operations whatever the number of targets.
-Every node keeps each deficit <= remaining, so its worst-deficit ("tight")
-set is levels[remaining-1], and every child's column must cover it.  A parent
-computes a child's tight set, (levels[r] & ~m) | (levels[r+1] & m) with r
-the child's slots minus one, and keeps only the types covering it in the
-child's candidate list; the coverage rule still takes its best single-column
-coverage over every type u >= t with a hit.  reach[t] is the union of the
-masks of types t, t+1, ...; a child that took type t passes the union rule
-exactly when reach[t] covers its parent's deficient set, because t hits none
-of the targets outside reach[t].  reach shrinks as t grows, so the children
-failing it end each candidate list: the parent counts them instead of
-listing them, and the node adds them to the node count once its listed
-children are done, where a one-by-one loop would have reached them.  They
-are never solved, since a solving column covers every deficient target.
+Deficits are stored bit-sliced in one packed int: targets are bit positions,
+and level k of a node's `levels`, bits k*nz to (k+1)*nz - 1, is the set of
+targets still short of k+1 hits; so level 0 is the deficient set and level
+k+1 is a subset of level k.  Hitting the deficient targets m of a column
+lowers each of their deficits by one, so at every level a target in m takes
+its bit from the level above.  With spread = sum of 2^(k*nz) over k < d,
+ms = m * spread copies m into each of the d levels without a carry (m <
+2^nz), and the child's levels are (levels & ~ms) | ((levels >> nz) & ms),
+computed as levels ^ (flip & ms) with flip = levels ^ (levels >> nz) taken
+once per frame: a multiply and two bit operations whatever the number of
+targets or d.  The child's deficient set is its levels & full, with
+full = 2^nz - 1.  Every node keeps each deficit <= remaining, so its levels
+from `remaining` up are 0 and its worst-deficit ("tight") set is its level
+remaining-1: its levels shifted right by (remaining-1)*nz, which leaves 0
+when remaining > d.  Every child's column must cover it, so a parent keeps
+only the types covering a child's tight set in the child's candidate list;
+the coverage rule still takes its best single-column coverage over every
+type u >= t with a hit.  reach[t] is the union of the masks of types t,
+t+1, ...; a child that took type t passes the union rule exactly when
+reach[t] covers its parent's deficient set, because t hits none of the
+targets outside reach[t].  reach shrinks as t grows, so the children
+passing it form a prefix of each candidate list, and the test runs only up
+to the first failure: every later type that passes the other entry tests
+fails it too.  These failures, the dead, are counted, not listed, and added
+to the node count once the listed children are done, where a one-by-one
+loop would have reached them.  They are never solved, since a solving
+column covers every deficient target.
 
 A parent runs each child's entry tests in its own loop (solved, coverage
-rule), and builds the child's other levels and a frame only for a child with
-three or more slots that passes them all.  A child with two slots left gets
-no frame: its parent hands last_two the child's deficient set D, its tight
-set T (the targets of deficit 2; 0 when d = 1) and its pool, the types
-u >= t, ascending, that cover T and hit D; the union-rule passers come first
-and the failures, the dead, after them.  A grandchild that took the pool type
-t' has one slot and every deficit <= 1, so it passes the coverage rule
-exactly when some type u >= t' covers its deficient set (D & ~m_t') | T, and
-it is then solved at the first such u in one node.  Such a u covers T and
-hits D, so it is a pool entry at or after t', and the pool is in ascending
-order: the first hit in the rest of the pool is the first hit among all the
-types u >= t'.  The root of length 2 is such a frame, its candidates its
-pool; at the root of length 1, d = 1 makes every candidate solve.  Parents
-test the types u >= t in a list of (u, masks[u]) for the types with a hit,
-built the first time some child takes t; for a two-slot child they count
-the hits of a type only while its coverage rule is undecided.  A child
-counts as a node, and meets the budget, when it is tested; a solving pair
-adds a node for its last column, and a two-slot frame that fails adds its
-dead.
+rule), and gives a frame only to a child with three or more slots that
+passes them all and has a child passing the union rule; for a child with
+none, the parent adds its dead in its own loop.  A child with two slots
+left gets no frame either: its parent hands last_two the child's deficient
+set D, its tight set T (the targets of deficit 2; 0 when d = 1) and its
+pool, the types u >= t, ascending, that cover T and hit D; the union-rule
+passers come first and the dead after them, and a pool with no passer is
+added as dead without the call.  A grandchild that took the pool type t'
+has one slot and every deficit <= 1, so it passes the coverage rule exactly
+when some type u >= t' covers its deficient set (D & ~m_t') | T, and it is
+then solved at the first such u in one node.  Such a u covers T and hits D,
+so it is a pool entry at or after t', and the pool is in ascending order:
+the first hit in the rest of the pool is the first hit among all the types
+u >= t'.  The root of length 2 is such a frame, its candidates its pool; at
+the root of length 1, d = 1 makes every candidate solve.  Parents test the
+types u >= t in a list of (u, masks[u]) for the types with a hit, built the
+first time some child takes t; for a two-slot child they count the hits of
+a type only while its coverage rule is undecided.  A child counts as a node,
+and meets the budget, when it is tested; a solving pair adds a node for its
+last column, and the dead of a child that is not solved are added after its
+frame or call fails, or at once when it gets none.
 
 The scan runs in one process, one length after another, and the budget caps
 the nodes of each length.  Node counts therefore depend only on the inputs.
@@ -126,13 +136,15 @@ def _search_fixed_n(masks, nz, d, n, budget):
     for t in range(T - 1, -1, -1):
         reach[t] = reach[t + 1] | masks[t]
     tails = [None] * T  # tails[t]: (u, masks[u]) for u >= t with a hit
+    full = (1 << nz) - 1
+    spread = sum(1 << k * nz for k in range(d))  # m * spread: m at each level
     stop = f"search budget {budget} exhausted"
     nodes = 0
 
     def last_two(def_mask, tight, pool, live):
         # a frame with two slots: pool holds (u, masks[u]) for its types
         # covering tight and hitting def_mask, ascending, and the first
-        # live of them pass the union rule
+        # live of them pass the union rule; the caller counts the rest
         nonlocal nodes
         for i in range(live):
             u, mu = pool[i]
@@ -148,20 +160,17 @@ def _search_fixed_n(masks, nz, d, n, budget):
                     if nodes > budget:
                         raise BudgetExceeded(stop)
                     return (u, v)
-        nodes += len(pool) - live
-        if nodes > budget:
-            raise BudgetExceeded(stop)
         return None
 
-    def dfs(levels, def_sum, remaining, cands, dead):
+    def dfs(levels, def_sum, remaining, cands):
         # a frame with three or more slots, or the root of length 1 (whose
-        # children all solve); cands: the children (type, hit set, size)
-        # that pass the union rule; dead: how many children after them
-        # fail it
+        # children all solve); levels: its packed deficit levels; cands:
+        # the children (type, hit set, size) that pass the union rule; the
+        # caller counts the children after them, which fail it
         nonlocal nodes
         remaining -= 1  # each child's slots
-        r = remaining - 1
-        width = remaining if remaining < d else d  # levels a child can fill
+        shift = (remaining - 1) * nz  # where a child's tight level starts
+        flip = levels ^ (levels >> nz)  # what a hit changes at each level
         for t, m, cov in cands:
             nodes += 1
             if nodes > budget:
@@ -169,31 +178,29 @@ def _search_fixed_n(masks, nz, d, n, budget):
             sub_sum = def_sum - cov
             if sub_sum == 0:
                 return (t,)
-            nm = ~m
-            def_mask = (levels[0] & nm) | (levels[1] & m)
+            sub_levels = levels ^ (flip & m * spread)
+            def_mask = sub_levels & full
+            tight = sub_levels >> shift
             tail = tails[t]
             if tail is None:
                 tail = tails[t] = [(u, masks[u]) for u in range(t, T)
                                    if masks[u]]
-            tight = (levels[r] & nm) | (levels[r + 1] & m) \
-                if remaining <= d else 0
+            sub_dead = 0  # its children failing the union rule, last
             if remaining == 2:
                 pool = []
-                live = 0
                 half = (sub_sum + 1) >> 1  # 0 once the coverage rule passes
                 for u, mu in tail:
                     if half and (mu & def_mask).bit_count() >= half:
                         half = 0
                     if not tight & ~mu and mu & def_mask:
                         pool.append((u, mu))
-                        if reach[u] & def_mask == def_mask:
-                            live += 1
+                        if sub_dead or reach[u] & def_mask != def_mask:
+                            sub_dead += 1
                 if half:
                     continue
-                sub = last_two(def_mask, tight, pool, live)
+                live = len(pool) - sub_dead
             else:
-                sub_cands = []
-                sub_dead = 0
+                live = []  # the child's candidates
                 maxcov = 0
                 for u, mu in tail:
                     mu &= def_mask
@@ -202,35 +209,34 @@ def _search_fixed_n(masks, nz, d, n, budget):
                         if c > maxcov:
                             maxcov = c
                         if not tight & ~mu:
-                            if reach[u] & def_mask == def_mask:
-                                sub_cands.append((u, mu, c))
-                            else:
+                            if sub_dead or reach[u] & def_mask != def_mask:
                                 sub_dead += 1
+                            else:
+                                live.append((u, mu, c))
                 if sub_sum > remaining * maxcov:
                     continue
-                sub_levels = [def_mask]
-                for k in range(1, width):
-                    sub_levels.append((levels[k] & nm) | (levels[k + 1] & m))
-                sub_levels.append(0)
-                sub = dfs(sub_levels, sub_sum, remaining, sub_cands, sub_dead)
-            if sub is not None:
-                return (t,) + sub
-        nodes += dead
-        if nodes > budget:
-            raise BudgetExceeded(stop)
+            if live:  # else the child needs no frame
+                sub = (last_two(def_mask, tight, pool, live) if remaining == 2
+                       else dfs(sub_levels, sub_sum, remaining, live))
+                if sub is not None:
+                    return (t,) + sub
+            nodes += sub_dead
+            if nodes > budget:
+                raise BudgetExceeded(stop)
         return None
 
-    full = (1 << nz) - 1
     tight = full if n == d else 0
-    cands = [t for t in range(T) if masks[t] and not tight & ~masks[t]]
-    live = [t for t in cands if reach[t] == full]
+    pool = [(t, m) for t, m in enumerate(masks) if m and not tight & ~m]
+    live = sum(reach[t] == full for t, _ in pool)  # a prefix of pool
     try:
-        if n == 2:
-            return last_two(full, tight, [(t, masks[t]) for t in cands],
-                            len(live)), nodes
-        return dfs([full] * d + [0], d * nz, n,
-                   [(t, masks[t], masks[t].bit_count()) for t in live],
-                   len(cands) - len(live)), nodes
+        sol = last_two(full, tight, pool, live) if n == 2 else dfs(
+            full * spread, d * nz, n,
+            [(t, m, m.bit_count()) for t, m in pool[:live]])
+        if sol is None:  # the root's children that fail the union rule
+            nodes += len(pool) - live
+            if nodes > budget:
+                raise BudgetExceeded(stop)
+        return sol, nodes
     finally:
         del dfs  # dfs names itself through a cell: break the cycle now
 
@@ -241,7 +247,8 @@ def min_length_search(field, columns, targets, d, n_max,
     docstring.
 
     columns: candidate column vectors (projective reps, ascending).
-    targets: the vectors that must each be hit at least d times (d >= 1).
+    targets: the vectors that must each be hit at least d times (d >= 1),
+    as wide as the columns (ValueError otherwise).
 
     budget caps the nodes of each length, not of the scan.  A stop raises
     BudgetExceeded with refuted (length -> nodes) for the lengths exhausted
@@ -253,6 +260,9 @@ def min_length_search(field, columns, targets, d, n_max,
         raise ValueError("need at least one column")
     if len(targets) == 0:
         raise ValueError("need at least one target")
+    kc, kz = np.shape(columns)[-1], np.shape(targets)[-1]
+    if kc != kz:
+        raise ValueError(f"columns have width {kc} but targets width {kz}")
     masks = build_hits(field, columns, targets)
     nz = len(targets)
     refuted = {}

@@ -209,9 +209,13 @@ def test_nqkd_length_cap_is_a_search_result():
 
 
 def test_nqkd_budget_stop_is_an_open_bracket():
+    # the stop keeps what the search proved: N <= 9 refuted in 60 nodes,
+    # and the low end is the larger of 10 and Griesmer's 5 + 3 + 2 + 1
     e = nq_kd(2, 4, 5, budget=100)
-    assert (e.N, e.provenance, e.nodes, e.refuted) == (None, "bracket", 0, {})
-    assert e.bracket == (singleton_lower(4, 5), gv_upper(2, 4, 5))
+    assert (e.N, e.provenance, e.nodes) == (None, "bracket", 60)
+    assert e.refuted == {5: 0, 6: 15, 7: 15, 8: 15, 9: 15}
+    assert e.bracket == (griesmer_lower(2, 4, 5), gv_upper(2, 4, 5)) \
+        == (11, 12)
     with pytest.raises(BudgetExceeded):
         nq_kd(2, 4, 5, mode="search", budget=100)
 

@@ -393,7 +393,9 @@ def test_nqkd_length_cap_is_fail(files, capsys):
 def test_nqkd_budget_stop_is_budget_exit(files, capsys):
     assert main(["nqkd", "--q", "2", "--k", "4", "--d", "5",
                  "--budget", "100"]) == BUDGET
-    assert "provenance: bracket" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "provenance: bracket" in out and "bracket: 11..12" in out
+    assert "refuted lengths: [5, 6, 7, 8, 9]" in out
 
 
 def test_missing_file_is_usage_error(files, capsys):

@@ -454,6 +454,27 @@ def test_recover_refuses_hand_built_views(F2, k3, k3_L, view, match):
     assert recover(k3, F2, k3_L, good, res.e_hat) == res.x_hat == 1
 
 
+@pytest.mark.parametrize("e_hat, match", [
+    ([1], "e_hat must have 4 entries"),
+    ([1, 0, 0, 0, 0], "e_hat must have 4 entries"),
+    ([[1, 0, 0, 0]], "e_hat must have 4 entries"),
+    ([1, 0, 0, 7], "e_hat entries must lie in 0..1"),
+    ([0, -1, 0, 0], "e_hat entries must lie in 0..1"),
+])
+def test_recover_refuses_bad_error_patterns(F2, k3, k3_L, e_hat, match):
+    """Both recovery paths used to take e_hat unchecked: [1] was broadcast
+    over all four symbols, and the 7 of [1, 0, 0, 7] was used as it stood.
+    A pattern of N field entries still recovers as decode does."""
+    view = make_view(k3, F2, 0, (1, 1, 0, 1), {1: 0, 2: 1})
+    for fn in (recover, recover_by_elimination):
+        with pytest.raises(ValueError, match=match):
+            fn(k3, F2, k3_L, view, e_hat)
+    res = decode(k3, F2, k3_L, 1, view)
+    for fn in (recover, recover_by_elimination):
+        assert fn(k3, F2, k3_L, view, res.e_hat) == res.x_hat
+        assert fn(k3, F2, k3_L, view, res.e_hat.tolist()) == res.x_hat
+
+
 def _error_alone_cases():
     """Seeded (field, instance, L, Decoder, X, E) cases of 60 broadcasts:
     lifted codes, the same with one entry redrawn, and raw random matrices

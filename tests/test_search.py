@@ -18,6 +18,9 @@ from indexcode.static_codes import static_bounds
 SEARCH_DIGEST = ("56bc749ece199fc9ecce0e534f4211131"
                  "be5654d05a77b1b7709cd6f7e0c367b")
 SEARCH_STOPS = 36
+WIDE_DIGEST = ("e5bfc76fbf3cd6b40574421527dbc74b"
+               "7c283c4c5441f6314b347b4acf8beaab")
+WIDE_STOPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,45 @@ def test_seeded_search_digest():
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     stops = sum(isinstance(o[0], str) for o in out)
     assert (digest, stops) == (SEARCH_DIGEST, SEARCH_STOPS)
+
+
+def _seeded_wide_outcomes():
+    """min_length_search on 60 seeded cases with 40 to 127 targets, so each
+    packed deficit level spans several int digits: GF(2) with k in {6, 7},
+    GF(3) with k in {4, 5}, d in 1..6, budgets from 100 to 20,000 nodes.
+    Outcomes as in _seeded_search_outcomes."""
+    rng = np.random.default_rng(2028)
+    dims = ((2, 6), (2, 7), (3, 4), (3, 5))
+    out = []
+    for _ in range(60):
+        q, k = dims[int(rng.integers(len(dims)))]
+        field = make_field(q)
+        columns = projective_reps(field, k)
+        vectors = list(itertools.product(range(q), repeat=k))[1:]
+        size = int(rng.integers(40, min(len(vectors), 127) + 1))
+        targets = [vectors[i] for i in sorted(
+            rng.choice(len(vectors), size, replace=False))]
+        d = int(rng.integers(1, 7))
+        n_max = d + int(rng.integers(2, 10))
+        budget = int(10 ** rng.uniform(2, 4.3))
+        try:
+            res = min_length_search(field, columns, targets, d, n_max,
+                                    budget=budget)
+        except BudgetExceeded as exc:
+            out.append((str(exc), sorted(exc.refuted.items())))
+        else:
+            out.append((res.n_opt, res.solution, res.nodes,
+                        sorted(res.refuted.items())))
+    return out
+
+
+@pytest.mark.slow
+def test_seeded_wide_search_digest():
+    # wide target sets: the deficit levels of a node are ints of many digits
+    out = _seeded_wide_outcomes()
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    stops = sum(isinstance(o[0], str) for o in out)
+    assert (digest, stops) == (WIDE_DIGEST, WIDE_STOPS)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +337,15 @@ def test_search_rejects_bad_counts(F2, pentagon):
         min_length_search(F2, [], columns, 1, 3)
     with pytest.raises(ValueError, match="delta must be >= 0"):
         search_min_length(pentagon, F2, -1, 3)
+
+
+def test_search_rejects_columns_and_targets_of_different_widths(F2):
+    # before, numpy's "shape mismatch" surfaced from inside build_hits
+    with pytest.raises(ValueError, match="columns have width 3 but targets "
+                                         "width 2"):
+        min_length_search(F2, projective_reps(F2, 3), [[1, 0]], 1, 3)
+    with pytest.raises(ValueError, match="width 2 but targets width 3"):
+        min_length_search(F2, projective_reps(F2, 2), [(1, 0, 1)], 1, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
