@@ -194,7 +194,8 @@ def bound_report(inst, field, delta, workers=1, budget=SEARCH_BUDGET):
     w = min_rank(inst, field)
     d = 2 * delta + 1
     alpha_entry = nq_kd(field.q, alpha, d, budget=budget)
-    kappa_entry = nq_kd(field.q, w.kappa, d, budget=budget)
+    kappa_entry = alpha_entry if w.kappa == alpha else nq_kd(
+        field.q, w.kappa, d, budget=budget)
     singleton = w.kappa + 2 * delta
     mds_exact = singleton if field.q >= w.kappa + 2 * delta - 1 else None
     return BoundReport(

@@ -203,9 +203,13 @@ def recover(inst, field, L, view, e_hat, combiner=None):
     L = check_matrix(field, L)
     _check_view(inst, field, view, L.shape[1])
     e_hat = _check_vector(field, "e_hat", e_hat, L.shape[1])
-    i = view.i
     if combiner is None:
-        combiner = find_combiner(inst, field, L, i)
+        combiner = find_combiner(inst, field, L, view.i)
+    return _combine(field, view, e_hat, combiner)
+
+
+def _combine(field, view, e_hat, combiner):
+    """recover on checked inputs."""
     u, v = combiner
     corrected = field.sub_arr(np.asarray(view.y, dtype=np.int64), e_hat)
     acc = field.dot(corrected, u)
@@ -222,11 +226,15 @@ def recover_by_elimination(inst, field, L, view, e_hat):
     ValueError for what recover refuses.
     """
     L = check_matrix(field, L)
-    rhs = field.sub_arr(_strip(inst, field, L, view),  # checks the view
-                        _check_vector(field, "e_hat", e_hat, L.shape[1]))
-    i = view.i
+    stripped = _strip(inst, field, L, view)  # checks the view
+    return _eliminate(inst, field, L, view.i, stripped,
+                      _check_vector(field, "e_hat", e_hat, L.shape[1]))
+
+
+def _eliminate(inst, field, L, i, stripped, e_hat):
+    """recover_by_elimination on checked inputs, given the view stripped."""
     unknown = [j for j in range(inst.n) if j not in inst.X[i]]
-    sol = solve_one(field, L[unknown].T, rhs)
+    sol = solve_one(field, L[unknown].T, field.sub_arr(stripped, e_hat))
     if sol is None:
         raise TooManyErrors(
             "corrected word is not explainable by any message vector")
@@ -245,9 +253,9 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
     e_hat, cost = min_weight_coset_solution(field, H, beta, delta, budget)
     if recovery == "combiner":
         u, v = find_combiner(inst, field, L, view.i)
-        x_hat = recover(inst, field, L, view, e_hat, combiner=(u, v))
+        x_hat = _combine(field, view, e_hat, (u, v))
     elif recovery == "eliminate":
-        x_hat = recover_by_elimination(inst, field, L, view, e_hat)
+        x_hat = _eliminate(inst, field, L, view.i, stripped, e_hat)
         u = np.zeros(L.shape[1], dtype=np.int64)
     else:
         raise ValueError(f"unknown recovery {recovery!r}")

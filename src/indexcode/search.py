@@ -18,6 +18,10 @@ an ascending-length scan:
 * dead when the largest deficit exceeds the remaining slots;
 * dead when remaining * (best single-column coverage of deficient targets)
   cannot reach the total deficit;
+* dead, by the same rule, when remaining * (its frame's best single-column
+  coverage) cannot reach the total deficit: a child's deficient set lies
+  inside its frame's and its types among its frame's, so its own best
+  coverage is at most the frame's (the frame bound);
 * dead when some deficient target is hit by no remaining column type.
 
 Deficits are stored bit-sliced in one packed int: targets are bit positions,
@@ -48,28 +52,34 @@ to the node count once the listed children are done, where a one-by-one
 loop would have reached them.  They are never solved, since a solving
 column covers every deficient target.
 
-A parent runs each child's entry tests in its own loop (solved, coverage
-rule), and gives a frame only to a child with three or more slots that
-passes them all and has a child passing the union rule; for a child with
-none, the parent adds its dead in its own loop.  A child with two slots
-left gets no frame either: its parent hands last_two the child's deficient
-set D, its tight set T (the targets of deficit 2; 0 when d = 1) and its
-pool, the types u >= t, ascending, that cover T and hit D; the union-rule
-passers come first and the dead after them, and a pool with no passer is
-added as dead without the call.  A grandchild that took the pool type t'
-has one slot and every deficit <= 1, so it passes the coverage rule exactly
-when some type u >= t' covers its deficient set (D & ~m_t') | T, and it is
-then solved at the first such u in one node.  Such a u covers T and hits D,
-so it is a pool entry at or after t', and the pool is in ascending order:
-the first hit in the rest of the pool is the first hit among all the types
-u >= t'.  The root of length 2 is such a frame, its candidates its pool; at
-the root of length 1, d = 1 makes every candidate solve.  Parents test the
-types u >= t in a list of (u, masks[u]) for the types with a hit, built the
-first time some child takes t; for a two-slot child they count the hits of
-a type only while its coverage rule is undecided.  A child counts as a node,
-and meets the budget, when it is tested; a solving pair adds a node for its
-last column, and the dead of a child that is not solved are added after its
-frame or call fails, or at once when it gets none.
+A parent runs each child's entry tests in its own loop (solved, frame bound,
+coverage rule), and gives a frame only to a child with three or more slots
+that passes them all and has a child passing the union rule; for a child
+with none, the parent adds its dead in its own loop.  The frame bound reads
+no tail: a frame gets its best coverage from its parent, which measured it
+while building the frame's list (at the root, the largest mask), so a child
+it drops costs one node, as under the full rule.  That coverage must be the
+frame's exact best, since a lower one would drop children that pass.  A
+child with two slots left gets no frame either: its parent hands last_two
+the child's deficient set D, its tight set T (the targets of deficit 2; 0
+when d = 1) and its pool, the types u >= t, ascending, that cover T and hit
+D; the union-rule passers come first and the dead after them, and a pool
+with no passer is added as dead without the call.  A grandchild that took
+the pool type t' has one slot and every deficit <= 1, so it passes the
+coverage rule exactly when some type u >= t' covers its deficient set
+(D & ~m_t') | T, and it is then solved at the first such u in one node.
+Such a u covers T and hits D, so it is a pool entry at or after t', and the
+pool is in ascending order: the first hit in the rest of the pool is the
+first hit among all the types u >= t'.  Every pool type covers T, so
+last_two tests each u against D & ~m_t' alone.  The root of length 2 is such
+a frame, its candidates its pool; at the root of length 1, d = 1 makes every
+candidate solve.  Parents test the types u >= t in a list of (u, masks[u])
+for the types with a hit, built the first time some child takes t; for a
+two-slot child they count the hits of a type only while its coverage rule is
+undecided.  A child counts as a node, and meets the budget, when it is
+tested; a solving pair adds a node for its last column, and the dead of a
+child that is not solved are added after its frame or call fails, or at once
+when it gets none.
 
 The scan runs in one process, one length after another, and the budget caps
 the nodes of each length.  Node counts therefore depend only on the inputs.
@@ -151,8 +161,10 @@ def _search_fixed_n(masks, nz, d, n, budget):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(stop)
-            need = (def_mask & ~mu) | tight  # the child's deficient set
-            if not need:
+            # the child's deficient set is need | tight, and every pool
+            # type covers tight
+            need = def_mask & ~mu
+            if not need | tight:
                 return (u,)
             for v, mv in pool[i:]:
                 if not need & ~mv:
@@ -162,11 +174,12 @@ def _search_fixed_n(masks, nz, d, n, budget):
                     return (u, v)
         return None
 
-    def dfs(levels, def_sum, remaining, cands):
+    def dfs(levels, def_sum, remaining, cands, fmax):
         # a frame with three or more slots, or the root of length 1 (whose
         # children all solve); levels: its packed deficit levels; cands:
         # the children (type, hit set, size) that pass the union rule; the
-        # caller counts the children after them, which fail it
+        # caller counts the children after them, which fail it; fmax: the
+        # frame's best single-column coverage, at least each child's
         nonlocal nodes
         remaining -= 1  # each child's slots
         shift = (remaining - 1) * nz  # where a child's tight level starts
@@ -178,6 +191,8 @@ def _search_fixed_n(masks, nz, d, n, budget):
             sub_sum = def_sum - cov
             if sub_sum == 0:
                 return (t,)
+            if sub_sum > remaining * fmax:  # the coverage rule fails
+                continue
             sub_levels = levels ^ (flip & m * spread)
             def_mask = sub_levels & full
             tight = sub_levels >> shift
@@ -192,7 +207,7 @@ def _search_fixed_n(masks, nz, d, n, budget):
                 for u, mu in tail:
                     if half and (mu & def_mask).bit_count() >= half:
                         half = 0
-                    if not tight & ~mu and mu & def_mask:
+                    if mu & tight == tight and mu & def_mask:
                         pool.append((u, mu))
                         if sub_dead or reach[u] & def_mask != def_mask:
                             sub_dead += 1
@@ -208,7 +223,7 @@ def _search_fixed_n(masks, nz, d, n, budget):
                         c = mu.bit_count()
                         if c > maxcov:
                             maxcov = c
-                        if not tight & ~mu:
+                        if mu & tight == tight:
                             if sub_dead or reach[u] & def_mask != def_mask:
                                 sub_dead += 1
                             else:
@@ -217,7 +232,8 @@ def _search_fixed_n(masks, nz, d, n, budget):
                     continue
             if live:  # else the child needs no frame
                 sub = (last_two(def_mask, tight, pool, live) if remaining == 2
-                       else dfs(sub_levels, sub_sum, remaining, live))
+                       else dfs(sub_levels, sub_sum, remaining, live,
+                                maxcov))
                 if sub is not None:
                     return (t,) + sub
             nodes += sub_dead
@@ -231,7 +247,8 @@ def _search_fixed_n(masks, nz, d, n, budget):
     try:
         sol = last_two(full, tight, pool, live) if n == 2 else dfs(
             full * spread, d * nz, n,
-            [(t, m, m.bit_count()) for t, m in pool[:live]])
+            [(t, m, m.bit_count()) for t, m in pool[:live]],
+            max(m.bit_count() for m in masks))
         if sol is None:  # the root's children that fail the union rule
             nodes += len(pool) - live
             if nodes > budget:

@@ -282,7 +282,7 @@ def static_bounds(n, rho, delta, q, budget=PARITY_NODE_BUDGET):
         upper_entry = None
     else:
         lower_singleton = rs + 2 * delta
-        upper_entry = nq_kd(q, rs, d)
+        upper_entry = alpha_entry if rs == rho else nq_kd(q, rs, d)
         upper = upper_entry.N
     exact = rho + 2 * delta if q >= max(n - 1, rho + 2 * delta - 1) else None
     if (lower_alpha is not None and lower_singleton is not None

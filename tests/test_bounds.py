@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from indexcode import bounds
+from indexcode import bounds, static_codes
 from indexcode.bounds import (
     _hamming_entry,
     bound_report,
@@ -271,6 +271,25 @@ def test_bound_report_k3_large_field(F7, k3):
     assert rep.alpha_entry.N == 3 and rep.kappa_entry.N == 3
     assert rep.singleton == 3 and rep.mds_exact == 3
     assert rep.random_N == 4
+
+
+def test_each_dimension_is_searched_once(monkeypatch, F2, ring5):
+    # alpha = kappa here, and rho* = rho for static_bounds(4, 4, 1, 2): the
+    # second entry is the first one, not a second search for the same N
+    calls = []
+
+    def counted(q, k, d, **kw):
+        calls.append((q, k, d))
+        return nq_kd(q, k, d, **kw)
+    monkeypatch.setattr(bounds, "nq_kd", counted)
+    monkeypatch.setattr(static_codes, "nq_kd", counted)
+    rep = bound_report(ring5, F2, 2)
+    assert (rep.alpha, rep.kappa, rep.kappa_entry.N) == (2, 2, 8)
+    assert calls == [(2, 2, 5)]
+    calls.clear()
+    rep = static_codes.static_bounds(4, 4, 1, 2)
+    assert (rep.rho_star, rep.lower_alpha, rep.upper) == (4, 7, 7)
+    assert calls == [(2, 4, 3)]
 
 
 def test_bound_report_sandwich_seeded(F2):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from indexcode import fields
+from indexcode import decoding, fields
 from indexcode.codes import construct_concat
 from indexcode.decoding import (
     Decoder,
@@ -224,6 +224,29 @@ def test_decode_recovery_paths_agree(F2, ring5):
         a = decode(ring5, F2, L, 2, view, recovery="combiner")
         b = decode(ring5, F2, L, 2, view, recovery="eliminate")
         assert a.x_hat == b.x_hat == x[ring5.f[i]]
+
+
+@pytest.mark.parametrize("recovery", ["combiner", "eliminate"])
+def test_decode_checks_the_view_once(monkeypatch, F2, k3, k3_L, recovery):
+    # decode recovers through the unchecked step that the public recover
+    # and recover_by_elimination share, and gives their symbol
+    view = transmit(k3, F2, k3_L, [1, 0, 1], [0, 0, 1, 0], 2)
+    calls = []
+
+    def counted(check):
+        def run(*args, **kw):
+            calls.append(check.__name__)
+            return check(*args, **kw)
+        return run
+    for name in ("_check_view", "_check_vector"):
+        monkeypatch.setattr(decoding, name, counted(getattr(decoding, name)))
+    res = decode(k3, F2, k3_L, 1, view, recovery=recovery)
+    assert calls.count("_check_view") == 1
+    assert "_check_vector" not in calls
+    monkeypatch.undo()
+    assert res.x_hat == 1
+    assert recover(k3, F2, k3_L, view, res.e_hat) == 1
+    assert recover_by_elimination(k3, F2, k3_L, view, res.e_hat) == 1
 
 
 def test_decode_failure_modes_beyond_radius(F2, k3, k3_L):

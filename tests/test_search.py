@@ -11,6 +11,7 @@ from indexcode.bounds import nq_kd
 from indexcode.codes import min_rank, search_min_length
 from indexcode.errors import BudgetExceeded
 from indexcode.fields import make_field
+from indexcode.instances import make_instance
 from indexcode.search import (build_hits, min_length_search,
                               projective_index, projective_reps)
 from indexcode.static_codes import static_bounds
@@ -36,6 +37,65 @@ def test_golden_search_work(F2, pentagon, ring5):
         n_max = nq_kd(2, min_rank(inst, F2).kappa, 5).N
         rep = search_min_length(inst, F2, 2, n_max)
         assert (rep.n_opt, rep.nodes, rep.refuted) == (n_opt, nodes, refuted)
+
+
+# one permutation for each of the pentagon's 12 distinct relabelings, the
+# first in lex order; per relabeling, the pentagon's nodes, the nodes that
+# refute N=8 and its solution (N=9), then ring5's nodes and solution (N=8)
+RELABELED_WORK = {
+    "01234": (149_103, 10_688, (2, 5, 6, 11, 16, 23, 24, 29, 30),
+              26_693, (10, 10, 10, 20, 20, 20, 29, 29)),
+    "01243": (139_099, 10_609, (2, 4, 6, 11, 17, 23, 25, 28, 30),
+              26_788, (10, 10, 10, 20, 20, 20, 29, 29)),
+    "01324": (218_595, 10_799, (4, 5, 6, 9, 16, 23, 24, 29, 30),
+              25_193, (10, 10, 10, 21, 21, 21, 28, 28)),
+    "01342": (138_201, 10_489, (2, 4, 6, 9, 19, 23, 25, 28, 30),
+              30_027, (12, 12, 12, 18, 18, 18, 29, 29)),
+    "01423": (218_369, 10_758, (4, 5, 6, 8, 17, 23, 24, 29, 30),
+              25_343, (10, 10, 10, 20, 20, 20, 29, 29)),
+    "01432": (148_046, 10_494, (2, 5, 6, 8, 19, 23, 24, 29, 30),
+              30_088, (12, 12, 12, 18, 18, 18, 29, 29)),
+    "02134": (131_105, 9_327, (2, 9, 10, 11, 16, 19, 20, 29, 30),
+              22_336, (6, 6, 6, 24, 24, 24, 29, 29)),
+    "02143": (127_163, 9_253, (2, 8, 10, 11, 17, 19, 21, 28, 30),
+              22_390, (6, 6, 6, 24, 24, 24, 29, 29)),
+    "02314": (196_520, 9_307, (5, 8, 9, 10, 16, 19, 20, 29, 30),
+              21_761, (6, 6, 6, 25, 25, 25, 28, 28)),
+    "02413": (175_204, 9_264, (4, 8, 9, 10, 17, 19, 20, 29, 30),
+              21_976, (6, 6, 6, 24, 24, 24, 29, 29)),
+    "03124": (182_544, 9_475, (4, 9, 11, 12, 16, 17, 18, 29, 30),
+              21_744, (6, 6, 6, 24, 24, 24, 29, 29)),
+    "03214": (198_565, 9_478, (5, 8, 11, 12, 16, 17, 18, 29, 30),
+              21_617, (6, 6, 6, 25, 25, 25, 28, 28)),
+}
+
+
+def _relabel(inst, perm):
+    """The same instance with message j renamed perm[j]."""
+    return make_instance(inst.n, [perm[f] for f in inst.f],
+                         [{perm[j] for j in X} for X in inst.X])
+
+
+@pytest.mark.slow
+def test_relabeled_search_work(F2, pentagon, ring5):
+    # the benchmark searches every distinct relabeling of the pentagon, and
+    # ring5 under the same permutations; labels change the tree, not N
+    first = {}
+    for perm in itertools.permutations(range(5)):
+        inst = _relabel(pentagon, perm)
+        first.setdefault(frozenset(zip(inst.f, inst.X)), perm)
+    assert ["".join(map(str, p)) for p in first.values()] == \
+        list(RELABELED_WORK)
+    for perm, work in zip(first.values(), RELABELED_WORK.values()):
+        p_nodes, p_last, p_sol, r_nodes, r_sol = work
+        for inst, n_max, nodes, refuted, sol in (
+                (pentagon, 10, p_nodes, {5: 0, 6: 31, 7: 31, 8: p_last},
+                 p_sol),
+                (ring5, 8, r_nodes, {5: 0, 6: 31, 7: 31}, r_sol)):
+            rep = search_min_length(_relabel(inst, perm), F2, 2, n_max)
+            assert (rep.n_opt, rep.nodes, rep.refuted) == \
+                (len(sol), nodes, refuted)
+            assert tuple(projective_index(F2, rep.L.T)) == sol
 
 
 @pytest.mark.slow
