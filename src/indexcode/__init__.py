@@ -67,11 +67,9 @@ from .codes import (
 from .bounds import (
     BoundReport,
     CodeTableEntry,
-    OddCycleComparison,
     bound_report,
     gv_upper,
     nq_kd,
-    odd_cycle_comparison,
     rs_generator,
     singleton_lower,
     sphere_volume,
@@ -89,15 +87,12 @@ from .decoding import (
     received_to_text,
     recover,
     recover_by_elimination,
-    relevant_error_set,
     save_received,
-    syndrome,
     transmit,
 )
 from .static_codes import (
     GreedyReport,
     ResilienceWitness,
-    StaticFamily,
     StaticReport,
     canonical_instance,
     find_parity_check,

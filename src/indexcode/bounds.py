@@ -30,10 +30,7 @@ import numpy as np
 from .codes import min_rank, random_min_length
 from .errors import BudgetExceeded
 from .fields import kernel_basis, make_field, sphere_volume
-from .instances import (
-    generalized_independence_number,
-    odd_cycle_instance,
-)
+from .instances import generalized_independence_number
 from .search import SEARCH_BUDGET, min_length_search, projective_reps
 
 SEARCH_POINT_CAP = 400  # projective points a search may take as columns
@@ -190,6 +187,8 @@ def bound_report(inst, field, delta, workers=1, budget=SEARCH_BUDGET):
     # workers=1 is still accepted only because the benchmark passes it
     if workers != 1:
         raise ValueError("the search runs in one process: workers must be 1")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     alpha, wit = generalized_independence_number(inst)
     w = min_rank(inst, field)
     d = 2 * delta + 1
@@ -205,28 +204,3 @@ def bound_report(inst, field, delta, workers=1, budget=SEARCH_BUDGET):
         singleton=singleton, mds_exact=mds_exact,
         random_N=random_min_length(inst, field, delta))
 
-
-@dataclass
-class OddCycleComparison:
-    l: int
-    delta: int
-    alpha: int               # equals l
-    kappa: int               # equals l + 1
-    alpha_bound: int | None  # N_2[l, 2delta+1]
-    singleton: int           # (l+1) + 2delta
-    alpha_bound_wins: bool | None
-
-
-def odd_cycle_comparison(l, delta, budget=SEARCH_BUDGET):
-    """For odd cycles the independence-number bound beats Singleton once
-    delta > 0, because no nontrivial binary MDS code exists."""
-    inst = odd_cycle_instance(l)
-    F2 = make_field(2)
-    alpha, _ = generalized_independence_number(inst)
-    w = min_rank(inst, F2)
-    entry = nq_kd(2, alpha, 2 * delta + 1, budget=budget)
-    singleton = w.kappa + 2 * delta
-    wins = None if entry.N is None else entry.N >= singleton
-    return OddCycleComparison(l=l, delta=delta, alpha=alpha, kappa=w.kappa,
-                              alpha_bound=entry.N, singleton=singleton,
-                              alpha_bound_wins=wins)

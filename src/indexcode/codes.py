@@ -82,6 +82,15 @@ def _scan_receiver_spans(inst, field, L, span_cap):
     return minw, witness, wit_rec, cost
 
 
+def check_code(inst, field, L):
+    """L as check_matrix returns it, with one row per message of inst;
+    ValueError otherwise."""
+    L = check_matrix(field, L)
+    if L.shape[0] != inst.n:
+        raise ValueError(f"matrix must have {inst.n} rows")
+    return L
+
+
 def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP,
            method="receiver-span"):
     """Check that L corrects delta errors for every receiver of inst.
@@ -91,9 +100,7 @@ def verify(inst, field, L, delta, span_cap=VERIFY_SPAN_CAP,
     q^|Y_i| exceeds span_cap.  "stream" is the definitional oracle: one
     product z L per confusable vector z of iter_I.
     """
-    L = check_matrix(field, L)
-    if L.shape[0] != inst.n:
-        raise ValueError(f"matrix must have {inst.n} rows")
+    L = check_code(inst, field, L)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     need = 2 * delta + 1
@@ -322,6 +329,8 @@ def construct_concat(inst, field, delta, outer=None):
     Returns (L, witness, outer_entry); outer_entry is None when an explicit
     outer generator was supplied.
     """
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     w = min_rank(inst, field)
     L, entry = construct_lift(inst, field, delta, w.L, outer)
     return L, w, entry
@@ -338,6 +347,8 @@ def construct_lift(inst, field, delta, B, outer=None):
     of the rows B[Y_i], one linear solve per receiver.  Returns
     (L, outer_entry).
     """
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     B = check_matrix(field, B)
     if B.shape[0] != inst.n:
         raise ValueError(f"core must have {inst.n} rows")
@@ -380,6 +391,8 @@ class RandomConstructionReport:
 
 def random_existence_condition(inst, field, delta, N):
     """Counting bound: sum_i q^(n-|X_i|-1) * V_q(N, 2delta) < q^N."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     q = field.q
     total = sum(q ** (inst.n - len(inst.X[i]) - 1) for i in range(inst.m))
     return total * sphere_volume(q, N, 2 * delta) < q ** N

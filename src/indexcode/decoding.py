@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import check_code
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
 from .fields import (block_rows, check_matrix, kernel_basis, kernel_from_rref,
-                     product_index, rref_stack, solve_one, span_matrix,
-                     sparse_blocks, sparse_vectors, sphere_volume, weight)
+                     product_index, rref_stack, solve_one, sparse_blocks,
+                     sparse_vectors, sphere_volume, weight)
 from .instances import y_set
 
 COSET_BUDGET = 2_000_000
@@ -71,28 +72,31 @@ def _check_view(inst, field, view, N=None):
         raise ValueError("side values out of range")
 
 
-def _check_vector(field, name, v, size):
-    """v as an int64 array of size entries in 0..q-1; ValueError, naming
-    it, otherwise."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape != (size,):
-        raise ValueError(f"{name} must have {size} entries")
-    if v.min(initial=0) < 0 or v.max(initial=0) >= field.q:
+def _field_array(field, name, A, width, ndim=1):
+    """A as an int64 array of field entries: a vector of width entries, or
+    with ndim 2 a block of rows of width entries each; ValueError, naming
+    it, for another shape or an entry outside 0..q-1."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != ndim or A.shape[-1] != width:
+        each = " each" if ndim == 2 else ""
+        raise ValueError(f"{name} must have {width} entries{each}, not "
+                         f"shape {A.shape}")
+    if A.min(initial=0) < 0 or A.max(initial=0) >= field.q:
         raise ValueError(f"{name} entries must lie in 0..{field.q - 1}")
-    return v
+    return A
 
 
 def check_broadcast(inst, field, L, x, error):
     """x (n entries) and error (N entries) as int64 arrays over the field;
     ValueError names the first one of the wrong length or with an entry
     outside 0..q-1."""
-    return (_check_vector(field, "x", x, inst.n),
-            _check_vector(field, "error", error, L.shape[1]))
+    return (_field_array(field, "x", x, inst.n),
+            _field_array(field, "error", error, L.shape[1]))
 
 
 def transmit(inst, field, L, x, error, i):
     """The view receiver i gets when x is broadcast through L plus an error."""
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     x, error = check_broadcast(inst, field, L, x, error)
     y = field.add_arr(field.matmul(x[None, :], L)[0], error)
     return make_view(inst, field, i, y, {j: int(x[j]) for j in inst.X[i]})
@@ -111,26 +115,25 @@ class DecodeResult:
 
 def code_Ci(inst, field, L, i):
     """Generator rows and parity-check matrix of receiver i's local code."""
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     gen = np.vstack([L[inst.f[i]][None, :]] +
                     [L[j][None, :] for j in sorted(y_set(inst, i))])
     return gen, kernel_basis(field, gen)
 
 
-def _strip(inst, field, L, view):
-    """The received word less the side information's part of x L;
-    ValueError for a view make_view would refuse or of the wrong length."""
+def _strip(field, L, Y, X, side):
+    """The received words Y (T, N) less the side information's part of
+    x L: row t of side holds word t's values x_j for j in X."""
+    return field.sub_arr(Y, field.matmul(side, L[X]))
+
+
+def _strip_view(inst, field, L, view):
+    """The view's received word, side information stripped; ValueError
+    for a view make_view would refuse or of the wrong length."""
     _check_view(inst, field, view, L.shape[1])
-    out = np.asarray(view.y, dtype=np.int64)
-    for j, v in view.side:
-        if v:
-            out = field.sub_arr(out, field.mul_arr(v, L[j]))
-    return out
-
-
-def syndrome(inst, field, L, H, view):
-    """H applied to the received word with the side information removed."""
-    return field.matvec(H, _strip(inst, field, L, view))
+    X, side = [j for j, _ in view.side], [v for _, v in view.side]
+    return _strip(field, L, np.asarray([view.y], dtype=np.int64), X,
+                  [side])[0]
 
 
 def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
@@ -158,25 +161,13 @@ def min_weight_coset_solution(field, H, beta, delta, budget=COSET_BUDGET):
         f"no error pattern of weight <= {delta} matches the syndrome")
 
 
-def relevant_error_set(inst, field, L, i, eps):
-    """Patterns indistinguishable from eps at receiver i (same decodability).
-
-    eps plus the span of the rows the receiver neither has nor wants, in
-    span order.
-    """
-    L = check_matrix(field, L)
-    eps = np.asarray(eps, dtype=np.int64)
-    yi = sorted(y_set(inst, i))
-    return field.add_arr(span_matrix(field, L[yi]), eps[None, :])
-
-
 def find_combiner(inst, field, L, i):
     """Solve L u = v + e_f(i) with v supported on X_i.
 
     Returns (u, v_full) or raises NotAnIndexCode when no solution exists
     (receiver i could not decode even an error-free broadcast).
     """
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     n, N = L.shape
     X = sorted(inst.X[i])
     A = np.zeros((n, N + len(X)), dtype=np.int64)
@@ -200,9 +191,9 @@ def recover(inst, field, L, view, e_hat, combiner=None):
     """Demanded symbol from a corrected word: (y - e) u - side combination;
     ValueError for a view make_view would refuse, or a view or e_hat of
     the wrong length or e_hat entries outside 0..q-1."""
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     _check_view(inst, field, view, L.shape[1])
-    e_hat = _check_vector(field, "e_hat", e_hat, L.shape[1])
+    e_hat = _field_array(field, "e_hat", e_hat, L.shape[1])
     if combiner is None:
         combiner = find_combiner(inst, field, L, view.i)
     return _combine(field, view, e_hat, combiner)
@@ -225,10 +216,10 @@ def recover_by_elimination(inst, field, L, view, e_hat):
     part, and read off the demanded coordinate of the first solution.
     ValueError for what recover refuses.
     """
-    L = check_matrix(field, L)
-    stripped = _strip(inst, field, L, view)  # checks the view
+    L = check_code(inst, field, L)
+    stripped = _strip_view(inst, field, L, view)
     return _eliminate(inst, field, L, view.i, stripped,
-                      _check_vector(field, "e_hat", e_hat, L.shape[1]))
+                      _field_array(field, "e_hat", e_hat, L.shape[1]))
 
 
 def _eliminate(inst, field, L, i, stripped, e_hat):
@@ -246,8 +237,8 @@ def decode(inst, field, L, delta, view, budget=COSET_BUDGET,
     """Full pipeline: strip, syndrome, lightest coset solution, recover."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    L = check_matrix(field, L)
-    stripped = _strip(inst, field, L, view)      # checks the view first
+    L = check_code(inst, field, L)
+    stripped = _strip_view(inst, field, L, view)
     gen, H = code_Ci(inst, field, L, view.i)
     beta = field.matvec(H, stripped)
     e_hat, cost = min_weight_coset_solution(field, H, beta, delta, budget)
@@ -300,17 +291,6 @@ def _receiver_systems(inst, field, L):
     return checks, x[:, :N] * solvable[:, None], solvable
 
 
-def _block(name, A, width, q):
-    """A as a 2-D int64 array of `width` columns with entries in 0..q-1;
-    ValueError otherwise."""
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2 or A.shape[1] != width:
-        raise ValueError(f"{name} have shape {A.shape}, need {width} columns")
-    if A.min(initial=0) < 0 or A.max(initial=0) >= q:
-        raise ValueError(f"{name} have entries outside 0..{q - 1}")
-    return A
-
-
 class Decoder:
     """One leader table for mass decoding of one (inst, L, delta) at every
     receiver.
@@ -357,7 +337,7 @@ class Decoder:
             raise ValueError("delta must be >= 0")
         self.inst = inst
         self.field = field
-        self.L = check_matrix(field, L)
+        self.L = check_code(inst, field, L)
         self.delta = delta
         m, q, N = inst.m, field.q, self.L.shape[1]
         V = sphere_volume(q, N, delta)
@@ -430,7 +410,7 @@ class Decoder:
                 np.where(found & self._has_combiner[r], symbols, -1))
 
     def decode(self, view):
-        stripped = _strip(self.inst, self.field, self.L, view)
+        stripped = _strip_view(self.inst, self.field, self.L, view)
         i = view.i
         rows, symbols = self._lookup(slice(i, i + 1), stripped[None, :])
         if rows[0, 0] < 0:
@@ -458,14 +438,14 @@ class Decoder:
         if not 0 <= i < self.inst.m:
             raise ValueError(f"receiver {i} out of range")
         field = self.field
-        Y = _block("received words", Y, self.L.shape[1], field.q)
+        Y = _field_array(field, "received words", Y, self.L.shape[1], 2)
         if side is not None:
             X_i = sorted(self.inst.X[i])
-            side = _block("side rows", side, len(X_i), field.q)
+            side = _field_array(field, "side rows", side, len(X_i), 2)
             if len(side) != len(Y):
                 raise ValueError(f"{len(side)} side rows for {len(Y)} "
                                  f"received words")
-            Y = field.sub_arr(Y, field.matmul(side, self.L[X_i]))
+            Y = _strip(field, self.L, Y, X_i, side)
         return self._lookup(slice(i, i + 1), Y)[1][:, 0]
 
     def decode_all(self, Y):
@@ -473,7 +453,7 @@ class Decoder:
         taken with x_j = 0 on X_i: (T, m) int64, column i equal to
         decode_block(i, Y).  Callers cut Y into blocks of
         block_rows(word_cells) rows."""
-        Y = _block("received words", Y, self.L.shape[1], self.field.q)
+        Y = _field_array(self.field, "received words", Y, self.L.shape[1], 2)
         return self._lookup(slice(0, self.inst.m), Y)[1]
 
 

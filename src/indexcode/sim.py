@@ -35,11 +35,11 @@ Integer Generation in an Interval") for x, the weight and the values, and
 Floyd's sampler followed by a Fisher-Yates shuffle of the picks for
 ``choice(N, w, replace=False)``.  A trial on which Lemire's method would
 reject a word, or that ``choice`` would serve by shuffling the tail of an
-arange (N > 10000 and w > N // 50), is redrawn by loading its state
-(`_trial_states`) into a Generator and calling draw_error, so every error
-is exact, not a lookalike; the tests compare states, outputs and errors
-with default_rng's.  The seed must be a non-negative integer, and t one
-32-bit entropy word, so a campaign runs at most 2**32 trials.
+arange (N > 10000 and w > N // 50), is redrawn by calling draw_error on
+its own default_rng((seed, t)) (`_draw_each`), so every error is exact,
+not a lookalike; the tests compare outputs and errors with default_rng's.
+The seed must be a non-negative integer, and t one 32-bit entropy word,
+so a campaign runs at most 2**32 trials.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ import numpy as np
 from .decoding import (COSET_BUDGET, Decoder, check_broadcast, decode,
                        make_view)
 from .errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from .fields import (block_rows, check_matrix, make_field, product_index,
-                     sparse_blocks, sphere_volume)
+from .codes import check_code
+from .fields import (block_rows, make_field, product_index, sparse_blocks,
+                     sphere_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def simulate_once(inst, field, L, delta, x, error,
     Decoder-stage failures (no pattern within radius delta, budget, or a
     structurally unusable matrix) are recorded per receiver, never raised.
     """
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     x, error = check_broadcast(inst, field, L, x, error)
     c = field.matmul(x[None, :], L)[0]
     y = field.add_arr(c, error)
@@ -254,23 +255,6 @@ def _seed_words(seed, start, stop):
     return _hashmix(pool, _GEN_X, _GEN_M).reshape(8, -1)
 
 
-def _trial_states(seed, start, stop):
-    """PCG64 states of default_rng((seed, t)) for t in start..stop-1, as
-    values for `bit_generator.state`: PCG64's set-seed step on the
-    `_seed_words` of each trial."""
-    # word pairs make the uint64s (seed high, seed low, inc high, inc low)
-    pairs = np.ascontiguousarray(_seed_words(seed, start, stop).T,
-                                 dtype="<u4").view("<u8")
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in pairs.tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
 @functools.cache
 def _output_steps(K):
     """(A, B) as four rows of 32-bit limbs (least significant first), K
@@ -395,18 +379,18 @@ def _draw_block(field, n, N, delta, forced_weight, seed, start, stop):
     E[r, picks[r, c]] = val[r, c]
     bad = np.flatnonzero(bad)
     if len(bad):
-        states = _trial_states(seed, start, stop)
-        E[bad] = _draw_each(field, n, N, delta, forced_weight,
-                            [states[row] for row in bad])
+        E[bad] = _draw_each(field, n, N, delta, forced_weight, seed,
+                            (start + bad).tolist())
     return E
 
 
-def _draw_each(field, n, N, delta, forced_weight, states):
-    """The same errors as `_draw_block`, a Generator loaded per trial."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    E = np.empty((len(states), N), dtype=np.int64)
-    for row, state in enumerate(states):
-        rng.bit_generator.state = state
+def _draw_each(field, n, N, delta, forced_weight, seed, trials):
+    """The errors of the given trials, one per row, each drawn on its own
+    default_rng((seed, t)): `_draw_block`'s definition, run trial by
+    trial."""
+    E = np.empty((len(trials), N), dtype=np.int64)
+    for row, t in enumerate(trials):
+        rng = np.random.default_rng((seed, t))
         rng.integers(0, field.q, size=n)     # x: keeps the stream
         E[row] = draw_error(rng, field, N, delta, forced_weight)
     return E
@@ -435,8 +419,8 @@ def _run_chunk(inst, q, L, delta, seed, start, stop, forced_weight, budget):
                                       return_inverse=True)
             E, counts = E[first], np.bincount(inv)
         else:
-            E = _draw_each(field, n, N, delta, forced_weight,
-                           _trial_states(seed, a, b))
+            E = _draw_each(field, n, N, delta, forced_weight, seed,
+                           range(a, b))
             counts = np.ones(len(E), dtype=np.int64)
         parts += [_tally(inst, decoder, E[c:c + tally], counts[c:c + tally])
                   for c in range(0, len(E), tally)]
@@ -483,7 +467,7 @@ def trial_campaign(inst, field, L, delta, trials, seed,
     patterns scanned (each stands for q^n cases in the counts).
     BudgetExceeded is raised before any case runs.
     """
-    L = check_matrix(field, L)
+    L = check_code(inst, field, L)
     n, N = L.shape
     if delta < 0:
         raise ValueError("delta must be >= 0")

@@ -40,27 +40,6 @@ RECEIVER_CAP = 4096             # receivers a canonical instance may spell out
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StaticFamily:
-    """All instances on at most n messages where every receiver owns at
-    least n - rho of them."""
-
-    n: int
-    rho: int
-
-    def __post_init__(self):
-        if not 1 <= self.rho <= self.n:
-            raise ValueError(f"need 1 <= rho <= n, got rho={self.rho} n={self.n}")
-
-    def contains(self, inst):
-        """Membership test against the family's n cap and side-info floor."""
-        return inst.n <= self.n and all(
-            len(x) >= self.n - self.rho for x in inst.X)
-
-    def canonical_instance(self):
-        return canonical_instance(self.n, self.rho)
-
-
 def canonical_instance(n, rho, cap=RECEIVER_CAP):
     """The single instance exactly as demanding as the whole family.
 
@@ -216,21 +195,20 @@ def _dual_rho_star(n, rho, q, budget):
 
 
 def _rho_star_details(n, rho, q, budget=PARITY_NODE_BUDGET):
-    """(value, provenance, parity check or None) behind rho_star."""
+    """(value, provenance) behind rho_star."""
     if not 1 <= rho <= n:
         raise ValueError(f"need 1 <= rho <= n, got rho={rho} n={n}")
     field = make_field(q)
     if q >= n - 1:
         # a doubly-extended Reed-Solomon parity check reaches the Singleton
         # floor whenever the field is at least as large as n - 1
-        return rho, "mds", None
+        return rho, "mds"
     for N in range(rho, n + 1):
         if (q ** N - 1) // (q - 1) > SEARCH_POINT_CAP:
             # too many candidate columns: answer from the dual side
-            return _dual_rho_star(n, rho, q, budget), "dual", None
-        H = find_parity_check(field, n, rho, N, budget=budget)
-        if H is not None:
-            return N, "search", H
+            return _dual_rho_star(n, rho, q, budget), "dual"
+        if find_parity_check(field, n, rho, N, budget=budget) is not None:
+            return N, "search"
     raise RuntimeError("identity columns must succeed at N=n")  # pragma: no cover
 
 
@@ -239,8 +217,7 @@ def rho_star(n, rho, q, budget=PARITY_NODE_BUDGET):
     columns independent (equivalently: minimal N with an [n, n-N] code of
     distance > rho).  This is also the min-rank of canonical_instance(n, rho).
     """
-    value, _, _ = _rho_star_details(n, rho, q, budget=budget)
-    return value
+    return _rho_star_details(n, rho, q, budget=budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +248,7 @@ def static_bounds(n, rho, delta, q, budget=PARITY_NODE_BUDGET):
         raise ValueError("delta must be >= 0")
     d = 2 * delta + 1
     try:
-        rs, prov, _ = _rho_star_details(n, rho, q, budget=budget)
+        rs, prov = _rho_star_details(n, rho, q, budget=budget)
     except BudgetExceeded:
         rs, prov = None, "unavailable"
     alpha_entry = nq_kd(q, rho, d)

@@ -12,7 +12,6 @@ from indexcode.bounds import (
     griesmer_lower,
     gv_upper,
     nq_kd,
-    odd_cycle_comparison,
     rs_generator,
     singleton_lower,
     sphere_volume,
@@ -308,16 +307,14 @@ def test_bound_report_sandwich_seeded(F2):
 # ---------------------------------------------------------------------------
 
 
-def test_odd_cycle_comparison_pentagon():
-    c = odd_cycle_comparison(2, 2)
-    assert (c.alpha, c.kappa) == (2, 3)
-    assert c.alpha_bound == 8 and c.singleton == 7
-    assert c.alpha_bound_wins
-
-    c = odd_cycle_comparison(2, 1)
-    assert c.alpha_bound == 5 and c.singleton == 5
-    assert c.alpha_bound_wins      # ties count: the bound is not weaker
-
-    c = odd_cycle_comparison(2, 0)
-    assert c.alpha_bound == 2 and c.singleton == 3
-    assert not c.alpha_bound_wins  # error-free case: Singleton is stronger
+def test_odd_cycle_comparison_pentagon(F2, pentagon):
+    # on an odd cycle the alpha bound N_2[l, 2delta+1] beats Singleton's
+    # (l+1) + 2delta once delta > 0: no nontrivial binary MDS code exists
+    for delta, alpha_bound, singleton in ((2, 8, 7), (1, 5, 5), (0, 2, 3)):
+        rep = bound_report(pentagon, F2, delta)
+        assert (rep.alpha, rep.kappa, rep.kappa_certified) == (2, 3, True)
+        assert rep.alpha_entry.N == alpha_bound
+        assert rep.singleton == singleton
+        # ties count: the bound is not weaker; at delta 0 Singleton is
+        # stronger
+        assert (rep.alpha_entry.N >= rep.singleton) == (delta > 0)

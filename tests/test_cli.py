@@ -236,6 +236,24 @@ def test_decode_negative_radius_is_usage_error(files, capsys):
     assert "delta must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+@pytest.mark.parametrize("cmd", [
+    ["decode", "--received", "recv"],
+    ["simulate", "--trials", "8", "--seed", "0"],
+    ["simulate", "--trials", "1", "--seed", "0", "--exhaustive"],
+])
+def test_matrix_with_the_wrong_row_count_is_usage_error(files, capsys, F2,
+                                                        k3_L, rows, cmd):
+    # two rows used to crash with IndexError; four ran a campaign scaled by
+    # q^4 as if k3 had four messages
+    path = files["tmp"] + "/rows.txt"
+    save_matrix(path, F2, np.vstack([k3_L, k3_L])[:rows])
+    argv = [files.get(a, a) for a in cmd]
+    assert main(argv + ["--instance", files["k3"], "--matrix", path,
+                        "--delta", "1"]) == USAGE
+    assert "matrix must have 3 rows" in capsys.readouterr().err
+
+
 def test_simulate_clean_campaign(files, capsys):
     assert main(["simulate", "--instance", files["k3"], "--matrix",
                  files["k3L"], "--delta", "1", "--trials", "200",

@@ -447,6 +447,31 @@ def test_construct_lift_rejects_bad_core(F2, ring5):
         construct_lift(ring5, F2, 2, B)
 
 
+def test_negative_radius_is_refused_before_any_work(monkeypatch, F2,
+                                                   ring5):
+    # random_min_length used to return 1 and the condition held for every
+    # N; the constructions and bound_report ran min_rank or the lift's
+    # solves first, then failed in nq_kd with "need k >= 1 and d >= 1"
+    from indexcode import bounds
+
+    def no_work(*args, **kw):
+        raise AssertionError("work done before the radius was checked")
+
+    for module, name in ((codes, "min_rank"), (codes, "solve_one"),
+                         (bounds, "min_rank"),
+                         (bounds, "generalized_independence_number")):
+        monkeypatch.setattr(module, name, no_work)
+    B = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    calls = [lambda: random_existence_condition(ring5, F2, -1, 8),
+             lambda: random_min_length(ring5, F2, -1),
+             lambda: construct_concat(ring5, F2, -1),
+             lambda: construct_lift(ring5, F2, -1, B),
+             lambda: bounds.bound_report(ring5, F2, -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            call()
+
+
 def test_construct_lift_accepts_dependent_rows_on_a_support(F2):
     # rows 1 and 2 of the core are dependent on the support {1, 2} of J, yet
     # the core is an error-free index code, so its lift corrects delta = 1

@@ -20,13 +20,11 @@ from indexcode.decoding import (
     received_to_text,
     recover,
     recover_by_elimination,
-    relevant_error_set,
     save_received,
-    syndrome,
     transmit,
 )
 from indexcode.errors import BudgetExceeded, NotAnIndexCode, TooManyErrors
-from indexcode.fields import (make_field, product_index, rank,
+from indexcode.fields import (make_field, product_index, rank, span_matrix,
                               sparse_vectors, sphere_volume, weight)
 from indexcode.instances import make_instance, y_set
 
@@ -89,16 +87,21 @@ def test_code_Ci_shapes_and_annihilation(F2, pentagon, pentagon_L9):
 
 
 def test_syndrome_zero_on_clean_transmission(F2, ring5):
+    # H kills the stripped word y - x_X L[X] = x_f(i) L_f(i) + x L[Y_i]
     rng = np.random.default_rng(4)
     B = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
     from indexcode.codes import construct_lift
     L, _ = construct_lift(ring5, F2, 2, B)
+    table = Decoder(ring5, F2, L, 2)
     for _ in range(10):
         x = rng.integers(0, 2, size=5)
         for i in range(5):
             view = transmit(ring5, F2, L, x, np.zeros(8, dtype=np.int64), i)
             gen, H = code_Ci(ring5, F2, L, i)
-            assert not syndrome(ring5, F2, L, H, view).any()
+            for res in (decode(ring5, F2, L, 2, view), table.decode(view)):
+                assert res.syndrome.shape == (len(H),)
+                assert not res.syndrome.any()
+                assert res.x_hat == x[ring5.f[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +148,23 @@ def test_min_weight_coset_solution_budget(F2):
 
 
 def test_relevant_error_set_structure(F2, pentagon, pentagon_L9):
+    # the patterns receiver i cannot tell from eps: eps + span(L[Y_i]);
+    # each one decodes to the same symbol
     eps = np.array([1, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64)
+    x = np.array([1, 0, 1, 1, 0], dtype=np.int64)
     for i in range(5):
-        rel = relevant_error_set(pentagon, F2, pentagon_L9, i, eps)
+        rows = pentagon_L9[sorted(y_set(pentagon, i))]
+        rel = F2.add_arr(span_matrix(F2, rows), eps[None, :])
         assert rel.shape == (2 ** len(y_set(pentagon, i)), 9)
         assert np.array_equal(rel[0], eps)  # span order starts at zero
-        rows = pentagon_L9[sorted(y_set(pentagon, i))]
+        symbols = set()
         for v in rel:
             diff = F2.sub_arr(v, eps)
             # diff must lie in the row space of the unseen-unwanted rows
             assert rank(F2, np.vstack([rows, diff])) == rank(F2, rows)
+            view = transmit(pentagon, F2, pentagon_L9, x, v, i)
+            symbols.add(decode(pentagon, F2, pentagon_L9, 9, view).x_hat)
+        assert len(symbols) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +248,11 @@ def test_decode_checks_the_view_once(monkeypatch, F2, k3, k3_L, recovery):
             calls.append(check.__name__)
             return check(*args, **kw)
         return run
-    for name in ("_check_view", "_check_vector"):
+    for name in ("_check_view", "_field_array"):
         monkeypatch.setattr(decoding, name, counted(getattr(decoding, name)))
     res = decode(k3, F2, k3_L, 1, view, recovery=recovery)
     assert calls.count("_check_view") == 1
-    assert "_check_vector" not in calls
+    assert "_field_array" not in calls
     monkeypatch.undo()
     assert res.x_hat == 1
     assert recover(k3, F2, k3_L, view, res.e_hat) == 1
@@ -388,6 +398,24 @@ def test_negative_radius_is_rejected(F2, k3, k3_L):
                                   -1)
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_every_decoder_refuses_a_matrix_with_the_wrong_row_count(F2, k3,
+                                                                 k3_L, rows):
+    L = np.vstack([k3_L, k3_L])[:rows]
+    view = make_view(k3, F2, 0, (1, 1, 0, 1), {1: 0, 2: 1})
+    e_hat = np.zeros(4, dtype=np.int64)
+    calls = [lambda: Decoder(k3, F2, L, 1),
+             lambda: decode(k3, F2, L, 1, view),
+             lambda: recover(k3, F2, L, view, e_hat),
+             lambda: recover_by_elimination(k3, F2, L, view, e_hat),
+             lambda: code_Ci(k3, F2, L, 0),
+             lambda: find_combiner(k3, F2, L, 0),
+             lambda: transmit(k3, F2, L, [1, 0, 1], e_hat, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="matrix must have 3 rows"):
+            call()
+
+
 def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
     """Length-1 words against a 3-column code used to broadcast through the
     side-information product and decode to [0, 0]; words and side rows of
@@ -395,11 +423,13 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
     L = np.array([[1, 1, 1]] * 3, dtype=np.int64)
     dec = Decoder(k3, F2, L, 1)
     side = np.array([[1, 0], [0, 0]])
-    with pytest.raises(ValueError, match=r"received words .*\(2, 1\).*3 col"):
+    words = r"received words must have 3 entries each, not shape "
+    with pytest.raises(ValueError, match=words + r"\(2, 1\)"):
         dec.decode_block(0, np.array([[1], [0]]), side)
-    with pytest.raises(ValueError, match=r"received words .*\(3,\).*3 col"):
+    with pytest.raises(ValueError, match=words + r"\(3,\)"):
         dec.decode_block(0, np.array([1, 1, 1]), side)
-    with pytest.raises(ValueError, match=r"side rows .*\(2, 1\).*2 col"):
+    with pytest.raises(ValueError, match=r"side rows must have 2 entries "
+                                         r"each, not shape \(2, 1\)"):
         dec.decode_block(0, np.ones((2, 3), dtype=np.int64), side[:, :1])
     # one side row used to stand for every word, or to raise IndexError
     with pytest.raises(ValueError, match="1 side rows for 2 received words"):
@@ -424,7 +454,7 @@ def test_decode_block_refuses_blocks_of_the_wrong_width(F2, k3):
 def test_decode_block_refuses_entries_outside_the_field(k3, k3_L, q, Y, side,
                                                         name):
     dec = Decoder(k3, make_field(q), k3_L, 1)
-    match = f"{name} have entries outside 0..{q - 1}"
+    match = f"{name} entries must lie in 0..{q - 1}"
     with pytest.raises(ValueError, match=match):
         dec.decode_block(0, Y, side)
     if side is None:

@@ -332,6 +332,15 @@ def test_campaign_refuses_fewer_than_one_worker(monkeypatch, F2, k3, k3_L,
                            workers=workers)
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_campaign_refuses_a_matrix_with_the_wrong_row_count(F2, k3, k3_L,
+                                                            rows, exhaustive):
+    L = np.vstack([k3_L, k3_L])[:rows]
+    with pytest.raises(ValueError, match="matrix must have 3 rows"):
+        trial_campaign(k3, F2, L, 1, 10, 0, exhaustive=exhaustive)
+
+
 @pytest.mark.parametrize("seed, error", [
     (-1, ValueError), (np.int64(-3), ValueError),
     (1.0, TypeError), (None, TypeError), ("3", TypeError),
@@ -358,27 +367,19 @@ def test_campaign_caps_trials_at_one_entropy_word(monkeypatch, F2, k3, k3_L):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 3,
                                   2**200 + 17, np.int64(7), True])
-def test_block_seeding_is_default_rng(F3, seed):
+def test_block_seeding_is_default_rng(seed):
     # the blocks a campaign on a 5 x 9 matrix runs: trial 0 and both sides
-    # of the first block boundary, and the last trial a campaign can run
+    # of the first block boundary, a block inside, and the last trial a
+    # campaign can run; every row is default_rng((seed, t))'s raw stream
     step = block_rows(9 * 9)
     last = (sim.MAX_TRIALS - 1) // step * step
-    rng = np.random.Generator(np.random.PCG64(0))
     for a, ts in ((0, (0, step - 1)), (step, (step,)),
-                  (last, (sim.MAX_TRIALS - 1,))):
-        states = sim._trial_states(seed, a, min(a + step, sim.MAX_TRIALS))
-        assert len(states) == min(step, sim.MAX_TRIALS - a)
+                  (1000, range(1000, 1005)), (last, (sim.MAX_TRIALS - 1,))):
+        raw = sim._raw_outputs(seed, a, min(a + step, sim.MAX_TRIALS), 9)
+        assert len(raw) == min(step, sim.MAX_TRIALS - a)
         for t in ts:
-            ref = np.random.default_rng((seed, t))
-            rng.bit_generator.state = states[t - a]
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert (rng.integers(0, 3, size=5).tolist()
-                    == ref.integers(0, 3, size=5).tolist())
-            assert (draw_error(rng, F3, 9, 3).tolist()
-                    == draw_error(ref, F3, 9, 3).tolist())
-            assert rng.integers(2**64, dtype=np.uint64) == ref.integers(
-                2**64, dtype=np.uint64)
-            assert rng.random() == ref.random()
+            bitgen = np.random.default_rng((seed, t)).bit_generator
+            assert raw[t - a].tolist() == bitgen.random_raw(9).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -574,23 +575,15 @@ def test_block_draw_is_default_rng(q):
                         field, n, N, delta, forced, seed, range(a, b))
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**200 + 17])
-def test_raw_outputs_are_pcg64(seed):
-    raw = sim._raw_outputs(seed, 1000, 1005, 9)
-    for t, row in zip(range(1000, 1005), raw.tolist()):
-        bitgen = np.random.default_rng((seed, t)).bit_generator
-        assert row == bitgen.random_raw(9).tolist()
-
-
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
 
 
 def _zero_word_seed(words, word):
-    """Seed words to replace a column of `_seed_words`, and the PCG64 state
-    they set: the increment stays, and the 32-bit word number `word` that
-    the generator reads is 0."""
+    """Seed words to replace a column of `_seed_words`: the PCG64 state they
+    set keeps the increment, and the 32-bit word number `word` that the
+    generator reads is 0."""
     w = [int(v) for v in words]
     inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _MASK128
     # a state whose output has the zero half, the other half not small
@@ -600,16 +593,16 @@ def _zero_word_seed(words, word):
     state = hi << 64 | hi ^ ((out << rot | out >> (64 - rot)) & _MASK64)
     for _ in range(word // 2 + 1):     # back to the set-seed state
         state = (state - inc) * _PCG_MULT_INV & _MASK128
-    state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-             "has_uint32": 0, "uinteger": 0}
     bitgen = np.random.PCG64(0)
-    bitgen.state = state
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
     assert int(bitgen.random_raw(word // 2 + 1)[-1]) == out
-    S = ((state["state"]["state"] - inc) * _PCG_MULT_INV - inc) & _MASK128
+    S = ((state - inc) * _PCG_MULT_INV - inc) & _MASK128
     column = words.copy()
     column[:4] = [S >> 64 & 0xFFFFFFFF, S >> 96, S & 0xFFFFFFFF,
                   S >> 32 & 0xFFFFFFFF]
-    return column, state
+    return column
 
 
 def _count_redraws(monkeypatch):
@@ -634,14 +627,12 @@ def _count_redraws(monkeypatch):
 def test_block_draw_redraws_rejected_words(monkeypatch, draw, q, delta,
                                            forced, word):
     # word 0 is rejected on any range that is not a power of two; the
-    # trial it lands in (trial 4) is redrawn, the others are not
+    # trial it lands in (trial 4) is redrawn, the others are not.  Only the
+    # array steps read the crafted words: the redraw is default_rng((seed,
+    # 4))'s own draw
     field, n, N, seed = make_field(q), 3, 9, 12
     want = _per_trial_errors(field, n, N, delta, forced, seed, range(8))
-    column, state = _zero_word_seed(sim._seed_words(seed, 4, 5)[:, 0], word)
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = state
-    rng.integers(0, q, size=n)
-    want[4] = draw_error(rng, field, N, delta, forced).tolist()
+    column = _zero_word_seed(sim._seed_words(seed, 4, 5)[:, 0], word)
     seed_words = sim._seed_words
 
     def crafted(seed, start, stop):
