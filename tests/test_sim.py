@@ -369,12 +369,12 @@ def test_campaign_caps_trials_at_one_entropy_word(monkeypatch, F2, k3, k3_L):
                                   2**200 + 17, np.int64(7), True])
 def test_block_seeding_is_default_rng(seed):
     # the blocks a campaign on a 5 x 9 matrix runs: trial 0 and both sides
-    # of the first block boundary, a block inside, and the last trial a
-    # campaign can run; every row is default_rng((seed, t))'s raw stream
+    # of the first block boundary, and the last trial a campaign can run;
+    # every row is default_rng((seed, t))'s raw stream
     step = block_rows(9 * 9)
     last = (sim.MAX_TRIALS - 1) // step * step
     for a, ts in ((0, (0, step - 1)), (step, (step,)),
-                  (1000, range(1000, 1005)), (last, (sim.MAX_TRIALS - 1,))):
+                  (last, (sim.MAX_TRIALS - 1,))):
         raw = sim._raw_outputs(seed, a, min(a + step, sim.MAX_TRIALS), 9)
         assert len(raw) == min(step, sim.MAX_TRIALS - a)
         for t in ts:
@@ -573,6 +573,14 @@ def test_block_draw_is_default_rng(q):
                                         a, b)
                     assert E.tolist() == _per_trial_errors(
                         field, n, N, delta, forced, seed, range(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**200 + 17])
+def test_raw_outputs_are_pcg64(seed):
+    raw = sim._raw_outputs(seed, 1000, 1005, 9)
+    for t, row in zip(range(1000, 1005), raw.tolist()):
+        bitgen = np.random.default_rng((seed, t)).bit_generator
+        assert row == bitgen.random_raw(9).tolist()
 
 
 _MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
