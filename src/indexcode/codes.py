@@ -188,10 +188,12 @@ def min_rank(inst, field, node_budget=MIN_RANK_BUDGET):
     by one, in candidate order, so the nodes, memo hits and result are
     those of a frame that steps one child at a time.
 
-    node_budget caps the DFS nodes: one global count summed over every
+    node_budget counts DFS nodes: one global count summed over every
     target rank and both passes.  When it runs out the result is the
     uncertified identity completion, with lower_bound the target rank the
-    search had reached.
+    search had reached.  It does not cap the work: one node may reduce all
+    q^|X_i| candidate rows of its receiver, so a few nodes over a large
+    field can take arbitrarily long.
     """
     n, m, q = inst.n, inst.m, field.q
     Xs = [sorted(inst.X[i]) for i in range(m)]

@@ -81,6 +81,21 @@ tested; a solving pair adds a node for its last column, and the dead of a
 child that is not solved are added after its frame or call fails, or at once
 when it gets none.
 
+A child with three or more slots that took type t and has deficient set D
+has best single-column coverage max(|masks[u] & D| for u >= t).  That value
+depends on the masks, t and D alone, not on the length, the deficit levels
+or the tight set, so min_length_search keeps one memo of it, `cover`, for
+its whole scan, keyed by D * T + t (T types, so no two pairs share a key),
+and every length reads and fills it.  A hit is the value the full scan
+would find, so each frame still gets its exact best and no tree changes.
+On a hit the parent applies the coverage rule before reading the tail, and
+a child that passes walks its tail only to list the types covering its
+tight set, counting bits for those alone.  A miss runs the full scan and
+stores its result while the memo holds fewer than COVER_CAP entries.  A
+long scan adds about 0.2 entries per node, so the cap is what bounds the
+memo: some 3 MiB at 2^15 entries.  Two-slot children do not use it, as
+their (t, D) pairs seldom repeat.
+
 The scan runs in one process, one length after another, and the budget caps
 the nodes of each length.  Node counts therefore depend only on the inputs.
 """
@@ -95,6 +110,7 @@ from .errors import BudgetExceeded
 from .fields import product_index, product_rows
 
 SEARCH_BUDGET = 50_000_000  # default nodes the exact search may visit per length
+COVER_CAP = 1 << 15  # entries the best-coverage memo of one scan may hold
 
 
 def projective_reps(field, k):
@@ -138,9 +154,10 @@ class MinLengthResult:
     refuted: dict            # n -> nodes for each exhausted infeasible length
 
 
-def _search_fixed_n(masks, nz, d, n, budget):
+def _search_fixed_n(masks, nz, d, n, budget, cover):
     """DFS for one length n >= d; returns (solution, nodes), where the
-    solution is a non-decreasing tuple of column types or None."""
+    solution is a non-decreasing tuple of column types or None.  cover is
+    the scan's best-coverage memo (module docstring), filled as it goes."""
     T = len(masks)
     reach = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
@@ -216,20 +233,36 @@ def _search_fixed_n(masks, nz, d, n, budget):
                 live = len(pool) - sub_dead
             else:
                 live = []  # the child's candidates
-                maxcov = 0
-                for u, mu in tail:
-                    mu &= def_mask
-                    if mu:
-                        c = mu.bit_count()
-                        if c > maxcov:
-                            maxcov = c
-                        if mu & tight == tight:
+                key = def_mask * T + t
+                maxcov = cover.get(key)
+                if maxcov is None:
+                    maxcov = 0
+                    for u, mu in tail:
+                        mu &= def_mask
+                        if mu:
+                            c = mu.bit_count()
+                            if c > maxcov:
+                                maxcov = c
+                            if mu & tight == tight:
+                                if (sub_dead or
+                                        reach[u] & def_mask != def_mask):
+                                    sub_dead += 1
+                                else:
+                                    live.append((u, mu, c))
+                    if len(cover) < COVER_CAP:
+                        cover[key] = maxcov
+                    if sub_sum > remaining * maxcov:
+                        continue
+                elif sub_sum > remaining * maxcov:
+                    continue
+                else:
+                    for u, mu in tail:
+                        mu &= def_mask
+                        if mu and mu & tight == tight:
                             if sub_dead or reach[u] & def_mask != def_mask:
                                 sub_dead += 1
                             else:
-                                live.append((u, mu, c))
-                if sub_sum > remaining * maxcov:
-                    continue
+                                live.append((u, mu, mu.bit_count()))
             if live:  # else the child needs no frame
                 sub = (last_two(def_mask, tight, pool, live) if remaining == 2
                        else dfs(sub_levels, sub_sum, remaining, live,
@@ -284,9 +317,10 @@ def min_length_search(field, columns, targets, d, n_max,
     nz = len(targets)
     refuted = {}
     total_nodes = 0
+    cover = {}  # valid at every length: it depends on masks alone
     for n in range(d, n_max + 1):
         try:
-            sol, n_nodes = _search_fixed_n(masks, nz, d, n, budget)
+            sol, n_nodes = _search_fixed_n(masks, nz, d, n, budget, cover)
         except BudgetExceeded as exc:  # re-raised bare: binds no cycle
             exc.refuted = refuted
             exc.args = (f"{exc} at length {n}; lengths refuted before "

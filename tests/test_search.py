@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indexcode import search
 from indexcode.bounds import nq_kd
 from indexcode.codes import min_rank, search_min_length
 from indexcode.errors import BudgetExceeded
@@ -76,8 +77,7 @@ def _relabel(inst, perm):
                          [{perm[j] for j in X} for X in inst.X])
 
 
-@pytest.mark.slow
-def test_relabeled_search_work(F2, pentagon, ring5):
+def _check_relabeled_work(F2, pentagon, ring5):
     # the benchmark searches every distinct relabeling of the pentagon, and
     # ring5 under the same permutations; labels change the tree, not N
     first = {}
@@ -96,6 +96,11 @@ def test_relabeled_search_work(F2, pentagon, ring5):
             assert (rep.n_opt, rep.nodes, rep.refuted) == \
                 (len(sol), nodes, refuted)
             assert tuple(projective_index(F2, rep.L.T)) == sol
+
+
+@pytest.mark.slow
+def test_relabeled_search_work(F2, pentagon, ring5):
+    _check_relabeled_work(F2, pentagon, ring5)
 
 
 @pytest.mark.slow
@@ -163,12 +168,16 @@ def _seeded_search_outcomes():
     return out
 
 
-def test_seeded_search_digest():
+def _check_seeded_digest():
     # any change to a tree, a solution, a refutation or a stop point moves it
     out = _seeded_search_outcomes()
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     stops = sum(isinstance(o[0], str) for o in out)
     assert (digest, stops) == (SEARCH_DIGEST, SEARCH_STOPS)
+
+
+def test_seeded_search_digest():
+    _check_seeded_digest()
 
 
 def _seeded_wide_outcomes():
@@ -237,8 +246,7 @@ BRUTE_FORCE_NODES = {
 }
 
 
-@pytest.mark.parametrize("q,k", [(2, 3), (3, 2)])
-def test_min_length_search_matches_brute_force(q, k):
+def _check_brute_force(q, k):
     field = make_field(q)
     columns = projective_reps(field, k)
     vectors = list(itertools.product(range(q), repeat=k))[1:]
@@ -260,6 +268,29 @@ def test_min_length_search_matches_brute_force(q, k):
             assert res.solution == _first_multiset(q, columns, targets, d,
                                                    res.n_opt)
     assert nodes == BRUTE_FORCE_NODES[q, k]
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2)])
+def test_min_length_search_matches_brute_force(q, k):
+    _check_brute_force(q, k)
+
+
+@pytest.fixture(params=[0, 8])
+def cover_cap(request, monkeypatch):
+    """The best-coverage memo capped at 0 entries (every scan misses) or 8
+    (it fills in the first few frames and then stops storing)."""
+    monkeypatch.setattr(search, "COVER_CAP", request.param)
+
+
+@pytest.mark.slow
+@pytest.mark.usefixtures("cover_cap")
+def test_capped_cover_memo_keeps_every_tree(F2, pentagon, ring5):
+    # a scan that outgrows the memo's cap stores no more, and its later
+    # frames run the full scan: the same trees, solutions and stops
+    _check_seeded_digest()
+    for q, k in BRUTE_FORCE_NODES:
+        _check_brute_force(q, k)
+    _check_relabeled_work(F2, pentagon, ring5)
 
 
 def _random_targets(rng, q, k):

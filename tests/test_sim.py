@@ -637,8 +637,9 @@ def test_block_draw_redraws_rejected_words(monkeypatch, draw, q, delta,
     # word 0 is rejected on any range that is not a power of two; the
     # trial it lands in (trial 4) is redrawn, the others are not.  Only the
     # array steps read the crafted words: the redraw is default_rng((seed,
-    # 4))'s own draw
-    field, n, N, seed = make_field(q), 3, 9, 12
+    # 4))'s own draw, and at this seed it differs from the row the array
+    # steps make of the crafted words, so a skipped redraw fails by value
+    field, n, N, seed = make_field(q), 3, 9, 13
     want = _per_trial_errors(field, n, N, delta, forced, seed, range(8))
     column = _zero_word_seed(sim._seed_words(seed, 4, 5)[:, 0], word)
     seed_words = sim._seed_words
@@ -653,6 +654,15 @@ def test_block_draw_redraws_rejected_words(monkeypatch, draw, q, delta,
     calls = _count_redraws(monkeypatch)
     E = sim._draw_block(field, n, N, delta, forced, seed, 0, 8)
     assert len(calls) == 1 and E.tolist() == want
+    lemire = sim._lemire
+
+    def accepting(u, r):  # every word accepted: nothing is redrawn
+        value, rejected = lemire(u, r)
+        return value, np.zeros_like(rejected)
+
+    monkeypatch.setattr(sim, "_lemire", accepting)
+    skipped = sim._draw_block(field, n, N, delta, forced, seed, 0, 8)
+    assert len(calls) == 1 and skipped[4].tolist() != want[4]
 
 
 @pytest.mark.parametrize("w, redrawn", [(200, 0), (201, 3), (300, 3)])
